@@ -6,9 +6,9 @@ from .dataset import (Dataset, DatasetError, FoldSplit, ParseError, RawRating,
 from .model import (ForwardTrace, Hyperparams, ModelParams, Row, corrupt,
                     decode, encode, forward_sampled, fuse, init_params,
                     load_checkpoint, predict_scores, save_checkpoint)
-from .objective import (Gradients, LossBreakdown, correlative_term,
-                        logistic_loss, user_gradients, user_loss)
-from .sparse import NegativeSample, SparseInteractions
+from .objective import (LossBreakdown, correlative_term, logistic_loss,
+                        user_gradients, user_loss)
+from .sparse import SparseInteractions
 from .trainer import TrainLog, TrainingError, per_user_cost, train
 from .metrics import (MetricsReport, aggregate_folds, average_precision,
                       bucket_by_degree, evaluate_fold, ndcg, rank_top_n)
@@ -23,9 +23,9 @@ __all__ = [
     "ForwardTrace", "Hyperparams", "ModelParams", "Row", "corrupt", "decode",
     "encode", "forward_sampled", "fuse", "init_params", "load_checkpoint",
     "predict_scores", "save_checkpoint",
-    "Gradients", "LossBreakdown", "correlative_term", "logistic_loss",
+    "LossBreakdown", "correlative_term", "logistic_loss",
     "user_gradients", "user_loss",
-    "NegativeSample", "SparseInteractions",
+    "SparseInteractions",
     "TrainLog", "TrainingError", "per_user_cost", "train",
     "MetricsReport", "aggregate_folds", "average_precision", "bucket_by_degree",
     "evaluate_fold", "ndcg", "rank_top_n",

@@ -17,12 +17,14 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import baselines, dataset, metrics, synth, trainer
-from .gradcheck import run_suite
+from .gradcheck import PATHS, run_suite
 from .model import Hyperparams, predict_scores, save_checkpoint
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(frozen=True)
+class ExperimentConfig(Hyperparams):
+    """Run settings on top of the model's Hyperparams fields and defaults."""
+
     ratings: str = "ratings.txt"
     trusts: str = "trusts.txt"
     cache: str = "dataset.cache"
@@ -30,20 +32,6 @@ class ExperimentConfig:
     min_count: int = 5
     folds: int = 5
     variant: str = "tdae"
-    latent_dim: int = 10
-    alpha: float = 0.8
-    beta: float = 0.01
-    corruption: float = 0.2
-    weight_decay: float = 0.01
-    map_decay: float = 0.01
-    lr: float = 0.5
-    epochs: int = 50
-    seed: int = 0
-    top_n: int = 10
-    user_embedding: bool = False
-    early_stop: bool = False
-    patience: int = 5
-    stop_tol: float = 1e-5
     checkpoint_every: int = 0
     bucket_edges: str = "5,20,50,200"
     alpha_grid: str = ""
@@ -57,13 +45,7 @@ class ExperimentConfig:
     synth_p_trust: float = 0.1
 
     def hyperparams(self) -> Hyperparams:
-        return Hyperparams(latent_dim=self.latent_dim, alpha=self.alpha,
-                           beta=self.beta, corruption=self.corruption,
-                           weight_decay=self.weight_decay, map_decay=self.map_decay,
-                           lr=self.lr, epochs=self.epochs, seed=self.seed,
-                           top_n=self.top_n, user_embedding=self.user_embedding,
-                           early_stop=self.early_stop, patience=self.patience,
-                           stop_tol=self.stop_tol)
+        return Hyperparams(**{f.name: getattr(self, f.name) for f in fields(Hyperparams)})
 
     def resolved_lines(self) -> list[str]:
         out = []
@@ -118,9 +100,7 @@ def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
         if key not in kinds:
             raise ConfigError(f"unknown key {key!r}")
         values[key] = _coerce(key, kinds[key], raw)
-    cfg = ExperimentConfig(**values)
-    cfg.hyperparams()  # fail fast on invalid ranges
-    return cfg
+    return ExperimentConfig(**values)  # validates the model fields
 
 
 def _grid(text: str, kind):
@@ -234,9 +214,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     failures = []
     for name, vals in grids:
         for val in vals:
-            point = replace(cfg, **{name: val})
             try:
-                report, _ = run_cross_validation(ds, point)
+                report, _ = run_cross_validation(ds, replace(cfg, **{name: val}))
             except Exception as exc:  # record and keep sweeping
                 failures.append(f"# failed: {name}={val} error={exc!r}")
                 continue
@@ -250,11 +229,14 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def cmd_gradcheck(cfg: ExperimentConfig) -> int:
-    report = run_suite(instances=20, n=8, m=12, k=4, seed0=cfg.seed)
-    print(f"gradcheck: {report.instances} instances, {report.entries} entries, "
-          f"max_rel={report.max_rel_err:.2e} max_abs={report.max_abs_err:.2e} "
-          f"failures={report.failures} ({report.elapsed:.2f}s)")
-    return 0 if report.ok else 1
+    ok = True
+    for path, changes in PATHS.items():
+        report = run_suite(seed0=cfg.seed, **changes)
+        print(f"gradcheck {path}: {report.instances} instances, {report.entries} entries, "
+              f"max_rel={report.max_rel_err:.2e} max_abs={report.max_abs_err:.2e} "
+              f"failures={report.failures} ({report.elapsed:.2f}s)")
+        ok = ok and report.ok
+    return 0 if ok else 1
 
 
 def cmd_synth(cfg: ExperimentConfig) -> int:

@@ -82,13 +82,6 @@ class FoldSplit:
 
     n_folds: int
     folds: np.ndarray
-    _lookup: dict[tuple[int, int], int] | None = field(default=None, repr=False)
-
-    def fold_of(self, ds: Dataset, u: int, i: int) -> int:
-        if self._lookup is None:
-            self._lookup = {(int(a), int(b)): int(f)
-                            for (a, b), f in zip(ds.ratings, self.folds)}
-        return self._lookup[(u, i)]
 
 
 def _open_text(path):

@@ -12,9 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Hyperparams, corrupt, forward_sampled, init_params
-from .objective import Gradients, user_gradients, user_loss
+from .model import Hyperparams, ModelParams, corrupt, forward_sampled, init_params
+from .objective import user_gradients, user_loss
 from .sparse import SparseInteractions
+from .trainer import _user_targets
+
+# changes to the suite's default setup that take it down each forward/backward
+# path `train` can take: corrupted inputs, the per-user vector, and beta=0
+# (the tdae0 variant), where the cross-view maps get no data gradient
+PATHS = {"clean": {}, "corrupted": {"corruption": 0.3},
+         "user_embedding": {"user_embedding": True}, "tdae0": {"beta": 0.0}}
 
 
 @dataclass
@@ -39,7 +46,7 @@ def _loss_of(params, hp, rating_in, trust_in, targets_r, targets_t,
 
 
 def fd_gradients(params, hp, rating_in, trust_in, targets_r, targets_t,
-                 user=None, decay_scale: float = 1.0, step: float = 1e-5) -> Gradients:
+                 user=None, decay_scale: float = 1.0, step: float = 1e-5) -> ModelParams:
     """Central finite differences of the per-user loss, entry by entry."""
     work = params.copy()
     out = {}
@@ -58,12 +65,10 @@ def fd_gradients(params, hp, rating_in, trust_in, targets_r, targets_t,
             flat[i] = orig
             gflat[i] = (up - down) / (2.0 * step)
         out[name] = g
-    if "user_vecs" not in out:
-        out["user_vecs"] = None
-    return Gradients(**out)
+    return ModelParams(**out)
 
 
-def compare(analytic: Gradients, numeric: Gradients,
+def compare(analytic: ModelParams, numeric: ModelParams,
             rel_tol: float = 1e-4, abs_tol: float = 1e-8):
     """(max relative error, max absolute error, failure count) over all entries.
 
@@ -101,14 +106,7 @@ def random_instance(n: int, m: int, k: int, hp: Hyperparams, seed: int,
     params = init_params(n, m, k, seed=seed, user_embedding=user_embedding)
     u = int(rng.integers(0, n))
 
-    pos_r = store.row(u, "rating")
-    pos_t = store.row(u, "trust")
-    neg_r = store.sample_item_negatives(u, rng)
-    neg_t = store.sample_user_negatives(u, rng)
-    targets_r = (np.concatenate([pos_r, neg_r]),
-                 np.concatenate([np.ones(len(pos_r)), np.zeros(len(neg_r))]))
-    targets_t = (np.concatenate([pos_t, neg_t]),
-                 np.concatenate([np.ones(len(pos_t)), np.zeros(len(neg_t))]))
+    targets_r, targets_t, pos_r, pos_t = _user_targets(store, u, rng, rng)
     rating_in, _ = corrupt(pos_r, hp.corruption, rng)
     trust_in, _ = corrupt(pos_t, hp.corruption, rng)
     return store, params, u, rating_in, trust_in, targets_r, targets_t
@@ -118,12 +116,16 @@ def run_suite(instances: int = 20, n: int = 8, m: int = 12, k: int = 4,
               hp: Hyperparams | None = None, seed0: int = 0,
               decay_scale: float = 1.0, step: float = 1e-5,
               rel_tol: float = 1e-4, abs_tol: float = 1e-8,
-              user_embedding: bool = False) -> GradCheckReport:
-    """Run the oracle on `instances` random setups and pool the errors."""
+              **changes) -> GradCheckReport:
+    """Run the oracle on `instances` random setups and pool the errors.
+
+    The setup is `hp`, by default the shipped settings at latent dimension
+    k without corruption, with any hyperparameter `changes` applied; its
+    `user_embedding` decides whether the instances carry per-user vectors.
+    """
     if hp is None:
-        hp = Hyperparams(latent_dim=k, alpha=0.8, beta=0.01, corruption=0.0,
-                         weight_decay=0.01, map_decay=0.01,
-                         user_embedding=user_embedding)
+        hp = Hyperparams(latent_dim=k, corruption=0.0)
+    hp = hp.replace(**changes)
     tic = time.perf_counter()
     max_rel = 0.0
     max_abs = 0.0
@@ -131,7 +133,7 @@ def run_suite(instances: int = 20, n: int = 8, m: int = 12, k: int = 4,
     entries = 0
     for j in range(instances):
         _, params, u, rating_in, trust_in, targets_r, targets_t = random_instance(
-            n, m, k, hp, seed=seed0 + j, user_embedding=user_embedding)
+            n, m, k, hp, seed=seed0 + j, user_embedding=hp.user_embedding)
         trace = forward_sampled(params, hp, rating_in, trust_in,
                                 targets_r[0], targets_t[0], user=u)
         analytic = user_gradients(params, hp, trace, targets_r, targets_t,

@@ -10,27 +10,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .sparse import SparseInteractions
 
 
-class RankedList(NamedTuple):
-    user: int
-    items: np.ndarray
-
-
 def rank_top_n(scores: np.ndarray, train_positives, n: int) -> np.ndarray:
     """Top-n items by score over the complement of the training positives.
 
     Ties break toward the smaller item index; the list is shorter than n
-    only when fewer than n candidate items exist.
+    only when fewer than n candidate items exist. NaN scores have no rank
+    and raise ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
+    if np.isnan(scores).any():
+        raise ValueError("scores contain NaN")
     train_positives = np.asarray(train_positives, dtype=np.int64)
     masked = scores.copy()
     masked[train_positives] = -np.inf

@@ -5,13 +5,17 @@ row. Both sparse rows are dropout-corrupted, encoded through sigmoid
 layers into k-dimensional codes, fused by a convex combination, and the
 fused code is decoded back into per-item and per-user probabilities.
 Prediction runs the same pass on clean inputs.
+
+The passes read every tensor by indexing (`w[rows]`, `b[...]`), so any
+store that answers indexing under ModelParams' field names can stand in
+for ModelParams: the trainer runs them on its scaled-decay store.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +26,9 @@ _CKPT_MAGIC = b"TRDAECK1"
 
 # sigmoid outputs are clamped to this band before any logarithm
 PROB_EPS = 1e-7
+
+# the cross-view maps, decayed with map_decay; every other tensor takes weight_decay
+MAP_TENSORS = ("map_trust_to_rating", "map_rating_to_trust")
 
 
 @dataclass(frozen=True)
@@ -62,11 +69,6 @@ class Hyperparams:
             raise ValueError("seed must be >= 0")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
-
-    @property
-    def keep_scale(self) -> float:
-        """Survivor rescale factor 1/(1-q) that keeps corruption unbiased."""
-        return 1.0 / (1.0 - self.corruption)
 
     def replace(self, **kw) -> "Hyperparams":
         return replace(self, **kw)
@@ -120,6 +122,14 @@ class ModelParams:
     def norm(self) -> float:
         return float(np.sqrt(sum(float((a * a).sum()) for _, a in self.tensors())))
 
+    def decay_norms(self) -> tuple[float, float]:
+        """Squared l2 norms of the network tensors and of the cross-view maps."""
+        wd = sum(float((arr * arr).sum()) for name, arr in self.tensors()
+                 if name not in MAP_TENSORS)
+        md = (float((self.map_trust_to_rating ** 2).sum())
+              + float((self.map_rating_to_trust ** 2).sum()))
+        return wd, md
+
 
 class Row(NamedTuple):
     """A sparse binary row: nonzero positions, all sharing one value."""
@@ -132,8 +142,9 @@ class Row(NamedTuple):
 class ForwardTrace:
     """Intermediate activations of one user's pass, kept for backprop.
 
-    `rating_pred` / `trust_pred` are aligned with the target coordinate
-    arrays handed to the forward pass, not with the full output rows.
+    `rating_pred` / `trust_pred`, and the decoder weight rows gathered to
+    compute them, are aligned with the target coordinate arrays handed to
+    the forward pass, not with the full output rows.
     """
 
     rating_in: Row
@@ -145,9 +156,9 @@ class ForwardTrace:
     trust_idx: np.ndarray
     rating_pred: np.ndarray
     trust_pred: np.ndarray
+    rating_dec_rows: np.ndarray
+    trust_dec_rows: np.ndarray
     user: int | None = None
-    mask_rating: np.ndarray | None = field(default=None, repr=False)
-    mask_trust: np.ndarray | None = field(default=None, repr=False)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -206,14 +217,15 @@ def encode(params: ModelParams, rating_row: Row, trust_row: Row,
            user: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sigmoid codes of both views, accumulating only nonzero inputs."""
     pre_r = params.rating_enc_w[rating_row.indices].sum(axis=0) * rating_row.value \
-        + params.rating_enc_b
+        + params.rating_enc_b[...]
     pre_t = params.trust_enc_w[trust_row.indices].sum(axis=0) * trust_row.value \
-        + params.trust_enc_b
+        + params.trust_enc_b[...]
     if params.user_vecs is not None:
         if user is None:
             raise ValueError("user index required when user_vecs are enabled")
-        pre_r = pre_r + params.user_vecs[user]
-        pre_t = pre_t + params.user_vecs[user]
+        user_vec = params.user_vecs[user]
+        pre_r = pre_r + user_vec
+        pre_t = pre_t + user_vec
     return sigmoid(pre_r), sigmoid(pre_t)
 
 
@@ -232,11 +244,17 @@ def decode(params: ModelParams, fused: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def decode_at(params: ModelParams, fused: np.ndarray, item_idx: np.ndarray,
-              user_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reconstructions at selected coordinates only."""
-    r_hat = sigmoid(params.rating_dec_w[item_idx] @ fused + params.rating_dec_b[item_idx])
-    t_hat = sigmoid(params.trust_dec_w[user_idx] @ fused + params.trust_dec_b[user_idx])
-    return r_hat, t_hat
+              user_idx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Reconstructions at selected coordinates only.
+
+    Returns (item probabilities, user probabilities, item decoder rows,
+    user decoder rows); backprop reuses the gathered rows.
+    """
+    rows_r = params.rating_dec_w[item_idx]
+    rows_t = params.trust_dec_w[user_idx]
+    r_hat = sigmoid(rows_r @ fused + params.rating_dec_b[item_idx])
+    t_hat = sigmoid(rows_t @ fused + params.trust_dec_b[user_idx])
+    return r_hat, t_hat, rows_r, rows_t
 
 
 def forward_sampled(params: ModelParams, hp: Hyperparams, rating_in: Row,
@@ -244,17 +262,20 @@ def forward_sampled(params: ModelParams, hp: Hyperparams, rating_in: Row,
                     user: int | None = None) -> ForwardTrace:
     """Forward pass materializing outputs only at the target coordinates.
 
-    The inputs are taken as given (already corrupted or clean); this
-    function is deterministic, which is what the finite-difference check
-    relies on.
+    The one forward pass of training, the epoch loss and the gradient
+    check. The inputs are taken as given (already corrupted or clean);
+    this function is deterministic, which is what the finite-difference
+    check relies on.
     """
     z_rating, z_trust = encode(params, rating_in, trust_in, user)
     fused = fuse(z_rating, z_trust, hp.alpha)
-    rating_pred, trust_pred = decode_at(params, fused, rating_idx, trust_idx)
+    rating_pred, trust_pred, rating_rows, trust_rows = decode_at(
+        params, fused, rating_idx, trust_idx)
     return ForwardTrace(rating_in=rating_in, trust_in=trust_in,
                         z_rating=z_rating, z_trust=z_trust, fused=fused,
                         rating_idx=rating_idx, trust_idx=trust_idx,
                         rating_pred=rating_pred, trust_pred=trust_pred,
+                        rating_dec_rows=rating_rows, trust_dec_rows=trust_rows,
                         user=user)
 
 

@@ -23,11 +23,10 @@ sweep over all users applies one full decay step per epoch, while scale
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .model import ForwardTrace, Hyperparams, ModelParams, clamp_probs
+from .model import MAP_TENSORS, ForwardTrace, Hyperparams, ModelParams, clamp_probs
 
 
 @dataclass
@@ -46,55 +45,6 @@ class LossBreakdown:
         return tuple(getattr(self, f) for f in self._FIELDS)
 
 
-@dataclass
-class Gradients:
-    """Dense gradient, one array per model tensor with identical shape."""
-
-    rating_enc_w: np.ndarray
-    trust_enc_w: np.ndarray
-    rating_enc_b: np.ndarray
-    trust_enc_b: np.ndarray
-    rating_dec_w: np.ndarray
-    rating_dec_b: np.ndarray
-    trust_dec_w: np.ndarray
-    trust_dec_b: np.ndarray
-    map_trust_to_rating: np.ndarray
-    map_rating_to_trust: np.ndarray
-    user_vecs: np.ndarray | None = None
-
-    def tensors(self):
-        for name in ("rating_enc_w", "trust_enc_w", "rating_enc_b", "trust_enc_b",
-                     "rating_dec_w", "rating_dec_b", "trust_dec_w", "trust_dec_b",
-                     "map_trust_to_rating", "map_rating_to_trust", "user_vecs"):
-            arr = getattr(self, name)
-            if arr is not None:
-                yield name, arr
-
-
-class SparseStep(NamedTuple):
-    """Data-dependent gradient pieces, indexed by the touched rows only.
-
-    Decay is deliberately excluded; the trainer applies it multiplicatively
-    and `user_gradients` scatters these pieces plus decay into dense form.
-    """
-
-    rating_enc_rows: np.ndarray
-    rating_enc_vals: np.ndarray
-    trust_enc_rows: np.ndarray
-    trust_enc_vals: np.ndarray
-    rating_enc_b: np.ndarray
-    trust_enc_b: np.ndarray
-    rating_dec_rows: np.ndarray
-    rating_dec_vals: np.ndarray
-    rating_dec_b_vals: np.ndarray
-    trust_dec_rows: np.ndarray
-    trust_dec_vals: np.ndarray
-    trust_dec_b_vals: np.ndarray
-    map_trust_to_rating: np.ndarray
-    map_rating_to_trust: np.ndarray
-    user_vec: np.ndarray | None
-
-
 def logistic_loss(y, y_hat):
     """Elementwise -y*log(p) - (1-y)*log(1-p), with p clamped away from {0,1}."""
     p = clamp_probs(np.asarray(y_hat, dtype=np.float64))
@@ -111,12 +61,11 @@ def correlative_term(z_rating: np.ndarray, z_trust: np.ndarray,
 
 
 def _check_targets(trace: ForwardTrace, targets_r, targets_t):
-    idx_r, y_r = targets_r
-    idx_t, y_t = targets_t
+    """Binary targets of both views, once they match the traced coordinates."""
+    (idx_r, y_r), (idx_t, y_t) = targets_r, targets_t
     if len(idx_r) != len(trace.rating_idx) or len(idx_t) != len(trace.trust_idx):
         raise ValueError("targets do not match the traced forward pass")
-    return (np.asarray(idx_r), np.asarray(y_r, dtype=np.float64),
-            np.asarray(idx_t), np.asarray(y_t, dtype=np.float64))
+    return np.asarray(y_r, dtype=np.float64), np.asarray(y_t, dtype=np.float64)
 
 
 def user_loss(params: ModelParams, hp: Hyperparams, trace: ForwardTrace,
@@ -126,17 +75,14 @@ def user_loss(params: ModelParams, hp: Hyperparams, trace: ForwardTrace,
     `targets_r` / `targets_t` are (indices, binary targets) pairs aligned
     with the coordinates the trace was evaluated at.
     """
-    _, y_r, _, y_t = _check_targets(trace, targets_r, targets_t)
+    y_r, y_t = _check_targets(trace, targets_r, targets_t)
     rating_recon = float(logistic_loss(y_r, trace.rating_pred).sum())
     trust_recon = float(logistic_loss(y_t, trace.trust_pred).sum())
     corr = correlative_term(trace.z_rating, trace.z_trust,
                             params.map_trust_to_rating, params.map_rating_to_trust)
-    wd = decay_scale * sum(
-        float((arr * arr).sum())
-        for name, arr in params.tensors()
-        if name not in ("map_trust_to_rating", "map_rating_to_trust"))
-    md = decay_scale * (float((params.map_trust_to_rating ** 2).sum())
-                        + float((params.map_rating_to_trust ** 2).sum()))
+    wd, md = params.decay_norms()
+    wd = decay_scale * wd
+    md = decay_scale * md
     total = (rating_recon + trust_recon + hp.beta * corr
              + 0.5 * hp.weight_decay * wd + 0.5 * hp.map_decay * md)
     return LossBreakdown(rating_recon=rating_recon, trust_recon=trust_recon,
@@ -144,103 +90,69 @@ def user_loss(params: ModelParams, hp: Hyperparams, trace: ForwardTrace,
                          total=total)
 
 
-def backprop_core(hp: Hyperparams, k: int, rating_in, trust_in,
-                  z_r: np.ndarray, z_t: np.ndarray, fused: np.ndarray,
-                  idx_r: np.ndarray, e_r: np.ndarray, dec_rows_r: np.ndarray,
-                  idx_t: np.ndarray, e_t: np.ndarray, dec_rows_t: np.ndarray,
-                  m0: np.ndarray, m1: np.ndarray,
-                  want_user_vec: bool) -> SparseStep:
-    """Shared backprop math on pre-gathered rows.
+def backprop_core(params, hp: Hyperparams, trace: ForwardTrace,
+                  targets_r, targets_t) -> list[tuple[str, object, np.ndarray]]:
+    """Data gradient of one user's reconstruction + cross-view loss.
 
-    `dec_rows_r` / `dec_rows_t` are the decoder weight rows at the target
-    coordinates; `e_*` the prediction-minus-target residuals there.
+    The one backward pass of training and the gradient check. Decay is
+    left out: the trainer applies it multiplicatively and `user_gradients`
+    adds it densely. Returns (tensor name, rows, values) pieces, where
+    rows is an index array, one row, or `...` for the whole tensor; a
+    tensor absent from the list has no data gradient. `params` may be any
+    store the forward pass reads. Target indices within each view must be
+    distinct (observed and sampled sets are disjoint by construction),
+    otherwise the row updates would collide.
     """
-    g_fused = dec_rows_r.T @ e_r + dec_rows_t.T @ e_t
+    y_r, y_t = _check_targets(trace, targets_r, targets_t)
+    e_r = trace.rating_pred - y_r
+    e_t = trace.trust_pred - y_t
+    z_r, z_t, fused = trace.z_rating, trace.z_trust, trace.fused
+    g_fused = trace.rating_dec_rows.T @ e_r + trace.trust_dec_rows.T @ e_t
 
+    pieces = []
     if hp.beta != 0.0:
+        m0 = params.map_trust_to_rating[...]
+        m1 = params.map_rating_to_trust[...]
         d_r = z_r - m0 @ z_t
         d_t = z_t - m1 @ z_r
         g_zr = hp.alpha * g_fused + 2.0 * hp.beta * (d_r - m1.T @ d_t)
         g_zt = (1.0 - hp.alpha) * g_fused + 2.0 * hp.beta * (d_t - m0.T @ d_r)
-        g_m0 = -2.0 * hp.beta * np.outer(d_r, z_t)
-        g_m1 = -2.0 * hp.beta * np.outer(d_t, z_r)
+        pieces += [("map_trust_to_rating", ..., -2.0 * hp.beta * np.outer(d_r, z_t)),
+                   ("map_rating_to_trust", ..., -2.0 * hp.beta * np.outer(d_t, z_r))]
     else:
         g_zr = hp.alpha * g_fused
         g_zt = (1.0 - hp.alpha) * g_fused
-        g_m0 = np.zeros((k, k))
-        g_m1 = np.zeros((k, k))
 
     g_pre_r = g_zr * z_r * (1.0 - z_r)
     g_pre_t = g_zt * z_t * (1.0 - z_t)
-
-    return SparseStep(
-        rating_enc_rows=rating_in.indices,
-        rating_enc_vals=np.broadcast_to(
-            rating_in.value * g_pre_r, (len(rating_in.indices), k)),
-        trust_enc_rows=trust_in.indices,
-        trust_enc_vals=np.broadcast_to(
-            trust_in.value * g_pre_t, (len(trust_in.indices), k)),
-        rating_enc_b=g_pre_r,
-        trust_enc_b=g_pre_t,
-        rating_dec_rows=idx_r,
-        rating_dec_vals=e_r[:, None] * fused[None, :],
-        rating_dec_b_vals=e_r,
-        trust_dec_rows=idx_t,
-        trust_dec_vals=e_t[:, None] * fused[None, :],
-        trust_dec_b_vals=e_t,
-        map_trust_to_rating=g_m0,
-        map_rating_to_trust=g_m1,
-        user_vec=(g_pre_r + g_pre_t) if want_user_vec else None,
-    )
-
-
-def backprop(params: ModelParams, hp: Hyperparams, trace: ForwardTrace,
-             targets_r, targets_t) -> SparseStep:
-    """Data gradient of one user's reconstruction + cross-view loss.
-
-    Target indices within each view must be distinct (observed and sampled
-    sets are disjoint by construction), otherwise the sparse row updates
-    would collide.
-    """
-    idx_r, y_r, idx_t, y_t = _check_targets(trace, targets_r, targets_t)
-    return backprop_core(
-        hp, params.k, trace.rating_in, trace.trust_in,
-        trace.z_rating, trace.z_trust, trace.fused,
-        idx_r, trace.rating_pred - y_r, params.rating_dec_w[idx_r],
-        idx_t, trace.trust_pred - y_t, params.trust_dec_w[idx_t],
-        params.map_trust_to_rating, params.map_rating_to_trust,
-        want_user_vec=params.user_vecs is not None)
+    rating_in, trust_in = trace.rating_in, trace.trust_in
+    k = len(fused)
+    pieces += [
+        ("rating_enc_w", rating_in.indices, np.broadcast_to(
+            rating_in.value * g_pre_r, (len(rating_in.indices), k))),
+        ("trust_enc_w", trust_in.indices, np.broadcast_to(
+            trust_in.value * g_pre_t, (len(trust_in.indices), k))),
+        ("rating_enc_b", ..., g_pre_r),
+        ("trust_enc_b", ..., g_pre_t),
+        ("rating_dec_w", trace.rating_idx, e_r[:, None] * fused[None, :]),
+        ("rating_dec_b", trace.rating_idx, e_r),
+        ("trust_dec_w", trace.trust_idx, e_t[:, None] * fused[None, :]),
+        ("trust_dec_b", trace.trust_idx, e_t),
+    ]
+    if params.user_vecs is not None:
+        pieces.append(("user_vecs", trace.user, g_pre_r + g_pre_t))
+    return pieces
 
 
 def user_gradients(params: ModelParams, hp: Hyperparams, trace: ForwardTrace,
-                   targets_r, targets_t, decay_scale: float = 1.0) -> Gradients:
-    """Dense exact gradient of `user_loss` with respect to every tensor."""
-    step = backprop(params, hp, trace, targets_r, targets_t)
+                   targets_r, targets_t, decay_scale: float = 1.0) -> ModelParams:
+    """Dense exact gradient of `user_loss`, one array per model tensor."""
     lam_w = decay_scale * hp.weight_decay
     lam_m = decay_scale * hp.map_decay
-
-    grads = Gradients(
-        rating_enc_w=lam_w * params.rating_enc_w,
-        trust_enc_w=lam_w * params.trust_enc_w,
-        rating_enc_b=lam_w * params.rating_enc_b + step.rating_enc_b,
-        trust_enc_b=lam_w * params.trust_enc_b + step.trust_enc_b,
-        rating_dec_w=lam_w * params.rating_dec_w,
-        rating_dec_b=lam_w * params.rating_dec_b,
-        trust_dec_w=lam_w * params.trust_dec_w,
-        trust_dec_b=lam_w * params.trust_dec_b,
-        map_trust_to_rating=lam_m * params.map_trust_to_rating + step.map_trust_to_rating,
-        map_rating_to_trust=lam_m * params.map_rating_to_trust + step.map_rating_to_trust,
-        user_vecs=lam_w * params.user_vecs if params.user_vecs is not None else None,
-    )
-    grads.rating_enc_w[step.rating_enc_rows] += step.rating_enc_vals
-    grads.trust_enc_w[step.trust_enc_rows] += step.trust_enc_vals
-    grads.rating_dec_w[step.rating_dec_rows] += step.rating_dec_vals
-    grads.rating_dec_b[step.rating_dec_rows] += step.rating_dec_b_vals
-    grads.trust_dec_w[step.trust_dec_rows] += step.trust_dec_vals
-    grads.trust_dec_b[step.trust_dec_rows] += step.trust_dec_b_vals
-    if step.user_vec is not None:
-        grads.user_vecs[trace.user] += step.user_vec
-
+    grads = ModelParams(**{name: (lam_m if name in MAP_TENSORS else lam_w) * arr
+                           for name, arr in params.tensors()})
+    for name, rows, vals in backprop_core(params, hp, trace, targets_r, targets_t):
+        getattr(grads, name)[rows] += vals
     for name, arr in grads.tensors():
         if not np.isfinite(arr).all():
             raise FloatingPointError(f"non-finite gradient in {name}")

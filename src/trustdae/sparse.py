@@ -1,27 +1,19 @@
 """Per-user sparse rows of the binary rating and trust matrices.
 
 Rows are stored CSR-style (offset array plus sorted column indices), so
-membership is a binary search and iterating a user's positives is a slice.
+iterating a user's positives is a slice and the sampler's membership test
+is a binary search.
 Negative sampling draws uniformly without replacement from the complement
 of a row, sized to match the row itself.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 # Above this row occupancy rejection sampling wastes too many draws;
 # enumerate the complement instead.
 _REJECTION_OCCUPANCY = 0.25
-
-
-class NegativeSample(NamedTuple):
-    """Sampled zero entries for one user."""
-
-    items: np.ndarray
-    users: np.ndarray
 
 
 def _build_csr(n_rows: int, n_cols: int, pairs: np.ndarray, what: str):
@@ -111,11 +103,6 @@ class SparseInteractions:
         indptr, cols, _ = self._select(which)
         return cols[indptr[u]:indptr[u + 1]]
 
-    def has(self, u: int, j: int, which: str = "rating") -> bool:
-        row = self.row(u, which)
-        at = np.searchsorted(row, j)
-        return bool(at < len(row) and row[at] == j)
-
     def counts(self, which: str = "rating") -> np.ndarray:
         indptr, _, _ = self._select(which)
         return np.diff(indptr)
@@ -131,8 +118,3 @@ class SparseInteractions:
     def sample_user_negatives(self, u: int, rng: np.random.Generator) -> np.ndarray:
         row = self.row(u, "trust")
         return sample_complement(rng, self.n, row, min(len(row), self.n - len(row)))
-
-    def sample_negatives(self, u: int, rng: np.random.Generator) -> NegativeSample:
-        """Fresh uniform negatives for one user, items first then users."""
-        return NegativeSample(items=self.sample_item_negatives(u, rng),
-                              users=self.sample_user_negatives(u, rng))

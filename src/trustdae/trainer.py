@@ -8,6 +8,8 @@ differ only in loss coefficients consume randomness identically.
 l2 decay is folded into a per-tensor scale factor: one multiplication per
 user step instead of a full-matrix subtraction, so the per-epoch cost
 stays proportional to the interaction count times the latent dimension.
+The scaled store answers the forward pass's row reads directly, so
+training runs the same forward and backward code as the gradient check.
 """
 
 from __future__ import annotations
@@ -17,14 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Hyperparams, ModelParams, Row, corrupt, forward_sampled,
-                    fuse, init_params, sigmoid)
+from .model import (MAP_TENSORS, Hyperparams, ModelParams, Row, corrupt,
+                    forward_sampled, init_params)
 from .objective import (LossBreakdown, backprop_core, correlative_term,
                         logistic_loss)
 from .sparse import SparseInteractions
 
 # purpose tags for the keyed streams
 _CORRUPT, _ITEM_NEG, _USER_NEG, _EVAL_ITEM, _EVAL_USER, _SHUFFLE = range(6)
+
+# a tensor's scale is folded into its array once it falls below this, long
+# before lr/scale can overflow (Bottou, "Stochastic Gradient Descent
+# Tricks", 2012)
+_MIN_SCALE = 1e-100
 
 
 class TrainingError(RuntimeError):
@@ -70,34 +77,34 @@ class _Scaled:
         self.arr = arr.astype(np.float64, copy=True)
         self.scale = 1.0
 
+    def __getitem__(self, idx) -> np.ndarray:
+        return self.arr[idx] * self.scale
+
     def decay(self, factor: float) -> None:
         self.scale *= factor
-
-    def rows(self, idx) -> np.ndarray:
-        return self.arr[idx] * self.scale
+        if self.scale < _MIN_SCALE:
+            self.arr *= self.scale
+            self.scale = 1.0
 
     def sub_rows(self, idx, vals, lr: float) -> None:
         self.arr[idx] -= (lr / self.scale) * vals
 
-    def sub(self, vals, lr: float) -> None:
-        self.arr -= (lr / self.scale) * vals
-
-    def value(self) -> np.ndarray:
-        return self.arr * self.scale
-
 
 class _ScaledParams:
-    """All model tensors in scaled form, snapshottable to ModelParams."""
+    """All model tensors in scaled form, under ModelParams' field names."""
 
     def __init__(self, params: ModelParams):
-        self.t = {name: _Scaled(arr) for name, arr in params.tensors()}
-        self.has_user_vecs = params.user_vecs is not None
+        self.user_vecs = None
+        self._tensors = [(name, _Scaled(arr)) for name, arr in params.tensors()]
+        for name, s in self._tensors:
+            setattr(self, name, s)
+
+    def tensors(self) -> list[tuple[str, _Scaled]]:
+        """(name, scaled tensor) for every present tensor, in field order."""
+        return self._tensors
 
     def snapshot(self) -> ModelParams:
-        kw = {name: s.value() for name, s in self.t.items()}
-        if not self.has_user_vecs:
-            kw["user_vecs"] = None
-        return ModelParams(**kw)
+        return ModelParams(**{name: s[...] for name, s in self.tensors()})
 
 
 def per_user_cost(train: SparseInteractions, hp: Hyperparams) -> int:
@@ -157,10 +164,8 @@ def _epoch_loss(scaled: _ScaledParams, train: SparseInteractions, hp: Hyperparam
         rating_sum += rating_u
         trust_sum += trust_u
         corr_sum += corr_u
-    wd = sum(float((arr * arr).sum()) for name, arr in params.tensors()
-             if name not in ("map_trust_to_rating", "map_rating_to_trust")) / n
-    md = (float((params.map_trust_to_rating ** 2).sum())
-          + float((params.map_rating_to_trust ** 2).sum())) / n
+    wd, md = params.decay_norms()
+    wd, md = wd / n, md / n
     mean = LossBreakdown(
         rating_recon=rating_sum / n, trust_recon=trust_sum / n,
         correlative=corr_sum / n, weight_decay=wd, map_decay=md,
@@ -169,50 +174,18 @@ def _epoch_loss(scaled: _ScaledParams, train: SparseInteractions, hp: Hyperparam
     return mean, params.norm()
 
 
-def _user_step(t: dict, hp: Hyperparams, u: int, rating_in: Row, trust_in: Row,
-               targets_r, targets_t):
-    """Forward + backprop for one user, gathering only the needed rows."""
-    idx_r, y_r = targets_r
-    idx_t, y_t = targets_t
-    k = hp.latent_dim
-
-    pre_r = t["rating_enc_w"].rows(rating_in.indices).sum(axis=0) * rating_in.value \
-        + t["rating_enc_b"].value()
-    pre_t = t["trust_enc_w"].rows(trust_in.indices).sum(axis=0) * trust_in.value \
-        + t["trust_enc_b"].value()
-    if "user_vecs" in t:
-        uvec = t["user_vecs"].rows(u)
-        pre_r = pre_r + uvec
-        pre_t = pre_t + uvec
-    z_r, z_t = sigmoid(pre_r), sigmoid(pre_t)
-    fused = fuse(z_r, z_t, hp.alpha)
-
-    dec_rows_r = t["rating_dec_w"].rows(idx_r)
-    dec_rows_t = t["trust_dec_w"].rows(idx_t)
-    pred_r = sigmoid(dec_rows_r @ fused + t["rating_dec_b"].rows(idx_r))
-    pred_t = sigmoid(dec_rows_t @ fused + t["trust_dec_b"].rows(idx_t))
-
-    return backprop_core(
-        hp, k, rating_in, trust_in, z_r, z_t, fused,
-        idx_r, pred_r - y_r, dec_rows_r,
-        idx_t, pred_t - y_t, dec_rows_t,
-        t["map_trust_to_rating"].value(), t["map_rating_to_trust"].value(),
-        want_user_vec="user_vecs" in t)
-
-
-def _apply_step(t: dict, step, lr: float, u: int) -> None:
-    t["rating_enc_w"].sub_rows(step.rating_enc_rows, step.rating_enc_vals, lr)
-    t["trust_enc_w"].sub_rows(step.trust_enc_rows, step.trust_enc_vals, lr)
-    t["rating_enc_b"].sub(step.rating_enc_b, lr)
-    t["trust_enc_b"].sub(step.trust_enc_b, lr)
-    t["rating_dec_w"].sub_rows(step.rating_dec_rows, step.rating_dec_vals, lr)
-    t["rating_dec_b"].sub_rows(step.rating_dec_rows, step.rating_dec_b_vals, lr)
-    t["trust_dec_w"].sub_rows(step.trust_dec_rows, step.trust_dec_vals, lr)
-    t["trust_dec_b"].sub_rows(step.trust_dec_rows, step.trust_dec_b_vals, lr)
-    t["map_trust_to_rating"].sub(step.map_trust_to_rating, lr)
-    t["map_rating_to_trust"].sub(step.map_rating_to_trust, lr)
-    if step.user_vec is not None:
-        t["user_vecs"].sub_rows(u, step.user_vec, lr)
+def _user_step(store: _ScaledParams, hp: Hyperparams, n: int, u: int,
+               rating_in: Row, trust_in: Row, targets_r, targets_t) -> None:
+    """One SGD step for user u, in place: params*(1 - lr*lam/n) - lr*grad."""
+    trace = forward_sampled(store, hp, rating_in, trust_in,
+                            targets_r[0], targets_t[0], user=u)
+    pieces = backprop_core(store, hp, trace, targets_r, targets_t)
+    decay_w = 1.0 - hp.lr * hp.weight_decay / n
+    decay_m = 1.0 - hp.lr * hp.map_decay / n
+    for name, s in store.tensors():
+        s.decay(decay_m if name in MAP_TENSORS else decay_w)
+    for name, rows, vals in pieces:
+        getattr(store, name).sub_rows(rows, vals, hp.lr)
 
 
 def train(train_data: SparseInteractions, hp: Hyperparams,
@@ -230,11 +203,6 @@ def train(train_data: SparseInteractions, hp: Hyperparams,
     n = train_data.n
     scaled = _ScaledParams(init_params(
         n, train_data.m, hp.latent_dim, hp.seed, user_embedding=hp.user_embedding))
-    t = scaled.t
-    decay_w = 1.0 - hp.lr * hp.weight_decay / n
-    decay_m = 1.0 - hp.lr * hp.map_decay / n
-    net_tensors = [s for name, s in t.items()
-                   if name not in ("map_trust_to_rating", "map_rating_to_trust")]
 
     log = TrainLog(epochs=[])
     stall = 0
@@ -249,15 +217,7 @@ def train(train_data: SparseInteractions, hp: Hyperparams,
             rng_c = stream(hp.seed, _CORRUPT, epoch, u)
             rating_in, _ = corrupt(pos_r, hp.corruption, rng_c)
             trust_in, _ = corrupt(pos_t, hp.corruption, rng_c)
-
-            step = _user_step(t, hp, u, rating_in, trust_in, targets_r, targets_t)
-
-            # decay first, then the data step: params*(1 - lr*lam/n) - lr*grad
-            for s in net_tensors:
-                s.decay(decay_w)
-            t["map_trust_to_rating"].decay(decay_m)
-            t["map_rating_to_trust"].decay(decay_m)
-            _apply_step(t, step, hp.lr, u)
+            _user_step(scaled, hp, n, u, rating_in, trust_in, targets_r, targets_t)
 
         epoch_loss, param_norm = _epoch_loss(scaled, train_data, hp, epoch)
         log.epochs.append(EpochStats(epoch=epoch, loss=epoch_loss,

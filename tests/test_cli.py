@@ -122,8 +122,11 @@ class TestCommands:
         cli.main(["preprocess"] + args)
         assert cli.main(["sweep"] + args) == 1
 
-    def test_gradcheck(self):
+    def test_gradcheck(self, capsys):
         assert cli.main(["gradcheck", "--set=seed=0"]) == 0
+        out = capsys.readouterr().out
+        for path in ("clean", "corrupted", "user_embedding", "tdae0"):
+            assert f"gradcheck {path}: " in out
 
     def test_fold_failure_carries_fold_index(self, tmp_path, capsys, monkeypatch):
         args = small_synth_args(tmp_path)

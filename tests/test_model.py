@@ -129,9 +129,11 @@ class TestEncodeFuseDecode:
         fused = np.array([0.2, 0.8, 0.5])
         r_full, t_full = td.decode(p, fused)
         idx_i, idx_u = np.array([1, 6]), np.array([0, 4])
-        r_sel, t_sel = decode_at(p, fused, idx_i, idx_u)
+        r_sel, t_sel, rows_i, rows_u = decode_at(p, fused, idx_i, idx_u)
         np.testing.assert_array_equal(r_sel, r_full[idx_i])
         np.testing.assert_array_equal(t_sel, t_full[idx_u])
+        np.testing.assert_array_equal(rows_i, p.rating_dec_w[idx_i])
+        np.testing.assert_array_equal(rows_u, p.trust_dec_w[idx_u])
         assert np.all((r_full > 0) & (r_full < 1))
 
 
@@ -203,7 +205,3 @@ class TestHyperparams:
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
             td.Hyperparams(**kw)
-
-    def test_keep_scale(self):
-        assert td.Hyperparams(corruption=0.2).keep_scale == 1.25
-        assert td.Hyperparams(corruption=0.0).keep_scale == 1.0

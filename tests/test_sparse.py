@@ -32,8 +32,9 @@ class TestRows:
 
     def test_membership(self):
         s = store_with(2, 5, [(0, 1), (0, 4), (1, 0)])
-        assert s.has(0, 4) and not s.has(0, 3)
-        assert s.has(1, 0) and not s.has(1, 4)
+        row0, row1 = s.row(0).tolist(), s.row(1).tolist()
+        assert 4 in row0 and 3 not in row0
+        assert 0 in row1 and 4 not in row1
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -50,16 +51,17 @@ class TestNegativeSampling:
     def test_sizes_and_disjointness(self):
         s = store_with(4, 1000, [(0, i) for i in range(4)], [(0, 1), (0, 2)])
         rng = np.random.default_rng(0)
-        neg = s.sample_negatives(0, rng)
-        assert len(neg.items) == 4 and len(neg.users) == 2
-        assert not set(neg.items.tolist()) & {0, 1, 2, 3}
-        assert not set(neg.users.tolist()) & {1, 2}
-        assert len(set(neg.items.tolist())) == 4
+        items, users = s.sample_item_negatives(0, rng), s.sample_user_negatives(0, rng)
+        assert len(items) == 4 and len(users) == 2
+        assert not set(items.tolist()) & {0, 1, 2, 3}
+        assert not set(users.tolist()) & {1, 2}
+        assert len(set(items.tolist())) == 4
 
     def test_empty_positive_set(self):
         s = store_with(3, 5, [(0, 1)])
-        neg = s.sample_negatives(2, np.random.default_rng(1))
-        assert len(neg.items) == 0 and len(neg.users) == 0
+        rng = np.random.default_rng(1)
+        items, users = s.sample_item_negatives(2, rng), s.sample_user_negatives(2, rng)
+        assert len(items) == 0 and len(users) == 0
 
     def test_complement_exhaustion(self):
         # more positives than free slots: the whole complement is returned
@@ -69,10 +71,11 @@ class TestNegativeSampling:
 
     def test_same_seed_same_samples(self):
         s = make_tiny_store(seed=5)
-        a = s.sample_negatives(1, np.random.default_rng(42))
-        b = s.sample_negatives(1, np.random.default_rng(42))
-        assert np.array_equal(a.items, b.items)
-        assert np.array_equal(a.users, b.users)
+        rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
+        a = (s.sample_item_negatives(1, rng_a), s.sample_user_negatives(1, rng_a))
+        b = (s.sample_item_negatives(1, rng_b), s.sample_user_negatives(1, rng_b))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_fresh_sample_per_call(self):
         s = store_with(1, 500, [(0, i) for i in range(8)])

@@ -3,7 +3,9 @@ import pytest
 
 import trustdae as td
 from trustdae import synth
-from trustdae.trainer import TrainingError, stream
+from trustdae.gradcheck import random_instance
+from trustdae.model import forward_sampled
+from trustdae.trainer import TrainingError, _ScaledParams, _user_step, stream
 
 from conftest import make_tiny_store
 
@@ -75,6 +77,15 @@ class TestTrain:
         assert log.stop_reason == "early_stop"
         assert len(log.epochs) < 40
 
+    def test_scale_renormalized_before_underflow(self):
+        # each user step decays by 1 - 7.5/8; the bare scale underflowed
+        # near epoch 31 and lr/scale turned the loss non-finite
+        hp = td.Hyperparams(latent_dim=4, lr=1.0, weight_decay=7.5, epochs=60)
+        _, log = td.train(make_tiny_store(seed=0), hp)
+        assert len(log.epochs) == 60
+        assert all(np.isfinite(e.loss.total) for e in log.epochs)
+        assert log.epochs[-1].loss.total < log.epochs[0].loss.total
+
     def test_checkpoint_callback(self):
         train_set, _ = small_train_set()
         seen = []
@@ -104,6 +115,30 @@ class TestDecayPath:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, stream(3, 1, 5, 7).random(8))
         assert not np.array_equal(a, stream(3, 0, 6, 7).random(8))
+
+
+class TestUserStep:
+    @pytest.mark.parametrize("changes", [
+        {}, {"user_embedding": True}, {"beta": 0.0}])
+    def test_step_follows_checked_gradient(self, changes):
+        # the trainer's scaled step equals plain SGD on the gradient that
+        # the finite-difference oracle checks, decay at 1/n strength
+        hp = td.Hyperparams(latent_dim=4, weight_decay=0.5, map_decay=0.5,
+                            **changes)
+        for seed in range(5):
+            store, params, u, rating_in, trust_in, tr, tt = random_instance(
+                8, 12, 4, hp, seed=seed, user_embedding=hp.user_embedding)
+            trace = forward_sampled(params, hp, rating_in, trust_in, tr[0], tt[0],
+                                    user=u)
+            grads = td.user_gradients(params, hp, trace, tr, tt,
+                                      decay_scale=1.0 / store.n)
+            scaled = _ScaledParams(params)
+            _user_step(scaled, hp, store.n, u, rating_in, trust_in, tr, tt)
+            stepped = scaled.snapshot()
+            for (name, got), (_, p), (_, g) in zip(
+                    stepped.tensors(), params.tensors(), grads.tensors()):
+                np.testing.assert_allclose(got, p - hp.lr * g, rtol=1e-12,
+                                           atol=0, err_msg=name)
 
 
 class TestPerUserCost:
