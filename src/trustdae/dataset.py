@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -238,17 +239,27 @@ def save_cache(ds: Dataset, path) -> None:
 
 
 def load_cache(path) -> Dataset:
+    """Read a cache written by `save_cache`, rejecting truncated or corrupt files."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_CACHE_MAGIC))
-        if magic != _CACHE_MAGIC:
+        end = os.fstat(fh.fileno()).st_size
+        if fh.read(len(_CACHE_MAGIC)) != _CACHE_MAGIC:
             raise DatasetError(f"{path}: not a dataset cache (bad header)")
-        n, m, n_r, n_t, ul, il = struct.unpack("<6Q", fh.read(48))
-        user_ids = fh.read(ul).decode("utf-8").split("\n") if ul else []
-        item_ids = fh.read(il).decode("utf-8").split("\n") if il else []
-        ratings = np.frombuffer(fh.read(16 * n_r), dtype="<i8").reshape(n_r, 2).astype(np.int64)
-        trusts = np.frombuffer(fh.read(16 * n_t), dtype="<i8").reshape(n_t, 2).astype(np.int64)
+
+        def read(size: int, what: str) -> bytes:
+            if size > end - fh.tell():   # also keeps a corrupt size from allocating
+                raise DatasetError(f"{path}: truncated cache ({what})")
+            return fh.read(size)
+
+        n, m, n_r, n_t, ul, il = struct.unpack("<6Q", read(48, "header"))
+        user_ids = read(ul, "user ids").decode("utf-8").split("\n") if ul else []
+        item_ids = read(il, "item ids").decode("utf-8").split("\n") if il else []
+        ratings = np.frombuffer(read(16 * n_r, "ratings"), dtype="<i8").reshape(n_r, 2).astype(np.int64)
+        trusts = np.frombuffer(read(16 * n_t, "trusts"), dtype="<i8").reshape(n_t, 2).astype(np.int64)
     if len(user_ids) != n or len(item_ids) != m:
         raise DatasetError(f"{path}: truncated or corrupt cache")
+    for name, pairs, bounds in (("ratings", ratings, (n, m)), ("trusts", trusts, (n, n))):
+        if (pairs < 0).any() or (pairs >= bounds).any():
+            raise DatasetError(f"{path}: {name} hold an index out of range")
     return Dataset(n=n, m=m, ratings=ratings, trusts=trusts,
                    user_ids=user_ids, item_ids=item_ids)
 

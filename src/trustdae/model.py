@@ -14,6 +14,7 @@ for ModelParams: the trainer runs them on its scaled-decay store.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
@@ -236,13 +237,6 @@ def fuse(z_rating: np.ndarray, z_trust: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * z_rating + (1.0 - alpha) * z_trust
 
 
-def decode(params: ModelParams, fused: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full reconstructed rows: per-item and per-user probabilities."""
-    r_hat = sigmoid(params.rating_dec_w @ fused + params.rating_dec_b)
-    t_hat = sigmoid(params.trust_dec_w @ fused + params.trust_dec_b)
-    return r_hat, t_hat
-
-
 def decode_at(params: ModelParams, fused: np.ndarray, item_idx: np.ndarray,
               user_idx: np.ndarray) -> tuple[np.ndarray, ...]:
     """Reconstructions at selected coordinates only.
@@ -285,8 +279,8 @@ def predict_scores(params: ModelParams, train: SparseInteractions, u: int,
     rating_row = Row(train.row(u, "rating"), 1.0)
     trust_row = Row(train.row(u, "trust"), 1.0)
     z_rating, z_trust = encode(params, rating_row, trust_row, u)
-    r_hat, _ = decode(params, fuse(z_rating, z_trust, alpha))
-    return r_hat
+    fused = fuse(z_rating, z_trust, alpha)
+    return sigmoid(params.rating_dec_w @ fused + params.rating_dec_b)
 
 
 def save_checkpoint(params: ModelParams, hp: Hyperparams, path) -> None:
@@ -306,14 +300,22 @@ def save_checkpoint(params: ModelParams, hp: Hyperparams, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, Hyperparams]:
+    """Read a checkpoint written by `save_checkpoint`, rejecting truncated files."""
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a model checkpoint (bad header)")
-        (blob_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
+
+        def read(size: int, what: str) -> bytes:
+            if size > end - fh.tell():   # also keeps a corrupt size from allocating
+                raise ValueError(f"{path}: truncated checkpoint ({what})")
+            return fh.read(size)
+
+        (blob_len,) = struct.unpack("<Q", read(8, "header"))
+        header = json.loads(read(blob_len, "header").decode("utf-8"))
         kw = {}
         for name, shape in header["tensors"]:
             count = int(np.prod(shape))
-            arr = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape)
+            arr = np.frombuffer(read(8 * count, f"tensor {name}"), dtype="<f8").reshape(shape)
             kw[name] = arr.astype(np.float64)
     return ModelParams(**kw), Hyperparams(**header["hyperparams"])

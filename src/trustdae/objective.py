@@ -38,12 +38,6 @@ class LossBreakdown:
     map_decay: float
     total: float
 
-    _FIELDS = ("rating_recon", "trust_recon", "correlative",
-               "weight_decay", "map_decay", "total")
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, f) for f in self._FIELDS)
-
 
 def logistic_loss(y, y_hat):
     """Elementwise -y*log(p) - (1-y)*log(1-p), with p clamped away from {0,1}."""
@@ -58,6 +52,14 @@ def correlative_term(z_rating: np.ndarray, z_trust: np.ndarray,
     d_r = z_rating - map_t2r @ z_trust
     d_t = z_trust - map_r2t @ z_rating
     return float(d_r @ d_r + d_t @ d_t)
+
+
+def loss_breakdown(hp: Hyperparams, rating_recon: float, trust_recon: float,
+                   corr: float, wd: float, md: float) -> LossBreakdown:
+    """The loss parts, decay norms already scaled, and their weighted total."""
+    total = (rating_recon + trust_recon + hp.beta * corr
+             + 0.5 * hp.weight_decay * wd + 0.5 * hp.map_decay * md)
+    return LossBreakdown(rating_recon, trust_recon, corr, wd, md, total)
 
 
 def _check_targets(trace: ForwardTrace, targets_r, targets_t):
@@ -81,13 +83,8 @@ def user_loss(params: ModelParams, hp: Hyperparams, trace: ForwardTrace,
     corr = correlative_term(trace.z_rating, trace.z_trust,
                             params.map_trust_to_rating, params.map_rating_to_trust)
     wd, md = params.decay_norms()
-    wd = decay_scale * wd
-    md = decay_scale * md
-    total = (rating_recon + trust_recon + hp.beta * corr
-             + 0.5 * hp.weight_decay * wd + 0.5 * hp.map_decay * md)
-    return LossBreakdown(rating_recon=rating_recon, trust_recon=trust_recon,
-                         correlative=corr, weight_decay=wd, map_decay=md,
-                         total=total)
+    return loss_breakdown(hp, rating_recon, trust_recon, corr,
+                          decay_scale * wd, decay_scale * md)
 
 
 def backprop_core(params, hp: Hyperparams, trace: ForwardTrace,

@@ -1,4 +1,4 @@
-"""Per-user sampled SGD with keyed random streams and per-epoch telemetry.
+"""Per-user sampled SGD with keyed random streams.
 
 Each (epoch, user) pair owns independent sub-streams for corruption,
 item negatives and user negatives, all derived from the master seed.
@@ -15,18 +15,19 @@ training runs the same forward and backward code as the gradient check.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .model import (MAP_TENSORS, Hyperparams, ModelParams, Row, corrupt,
                     forward_sampled, init_params)
 from .objective import (LossBreakdown, backprop_core, correlative_term,
-                        logistic_loss)
+                        logistic_loss, loss_breakdown)
 from .sparse import SparseInteractions
 
-# purpose tags for the keyed streams
-_CORRUPT, _ITEM_NEG, _USER_NEG, _EVAL_ITEM, _EVAL_USER, _SHUFFLE = range(6)
+# purpose tags for the keyed streams; the values are part of every stream
+# key, so renumbering them changes the negatives, corruption and shuffle
+_CORRUPT, _ITEM_NEG, _USER_NEG, _SHUFFLE = 0, 1, 2, 5
 
 # a tensor's scale is folded into its array once it falls below this, long
 # before lr/scale can overflow (Bottou, "Stochastic Gradient Descent
@@ -57,7 +58,7 @@ class TrainLog:
     def csv_rows(self) -> list[str]:
         rows = [self.CSV_HEADER]
         for e in self.epochs:
-            parts = [str(e.epoch)] + [repr(v) for v in e.loss.as_tuple()]
+            parts = [str(e.epoch)] + [repr(v) for v in astuple(e.loss)]
             parts += [repr(e.param_norm), repr(e.wall_time)]
             rows.append(",".join(parts))
         return rows
@@ -136,49 +137,19 @@ def _user_targets(train: SparseInteractions, u: int, rng_items, rng_users):
     return (idx_r, y_r), (idx_t, y_t), pos_r, pos_t
 
 
-def _epoch_loss(scaled: _ScaledParams, train: SparseInteractions, hp: Hyperparams,
-                epoch: int) -> tuple[LossBreakdown, float]:
-    """Mean per-user loss on clean inputs with freshly sampled negatives.
+def _user_step(store: _ScaledParams, hp: Hyperparams, n: int, u: int, rating_in: Row,
+               trust_in: Row, targets_r, targets_t) -> tuple[float, float, float]:
+    """One SGD step for user u, in place: params*(1 - lr*lam/n) - lr*grad.
 
-    The decay norms are identical for every user of a frozen snapshot, so
-    they are computed once and folded in analytically; only reconstruction
-    and the cross-view residual are accumulated per user.
+    Returns the (rating, trust, cross-view) loss terms before the step.
     """
-    params = scaled.snapshot()
-    n = train.n
-    rating_sum = trust_sum = corr_sum = 0.0
-    for u in range(n):
-        targets_r, targets_t, pos_r, pos_t = _user_targets(
-            train, u,
-            stream(hp.seed, _EVAL_ITEM, epoch, u),
-            stream(hp.seed, _EVAL_USER, epoch, u))
-        trace = forward_sampled(params, hp, Row(pos_r, 1.0), Row(pos_t, 1.0),
-                                targets_r[0], targets_t[0], user=u)
-        rating_u = float(logistic_loss(targets_r[1], trace.rating_pred).sum())
-        trust_u = float(logistic_loss(targets_t[1], trace.trust_pred).sum())
-        corr_u = correlative_term(trace.z_rating, trace.z_trust,
-                                  params.map_trust_to_rating,
-                                  params.map_rating_to_trust)
-        if not np.isfinite(rating_u + trust_u + corr_u):
-            raise TrainingError(f"non-finite loss at epoch {epoch}, user {u}")
-        rating_sum += rating_u
-        trust_sum += trust_u
-        corr_sum += corr_u
-    wd, md = params.decay_norms()
-    wd, md = wd / n, md / n
-    mean = LossBreakdown(
-        rating_recon=rating_sum / n, trust_recon=trust_sum / n,
-        correlative=corr_sum / n, weight_decay=wd, map_decay=md,
-        total=(rating_sum + trust_sum) / n + hp.beta * corr_sum / n
-              + 0.5 * hp.weight_decay * wd + 0.5 * hp.map_decay * md)
-    return mean, params.norm()
-
-
-def _user_step(store: _ScaledParams, hp: Hyperparams, n: int, u: int,
-               rating_in: Row, trust_in: Row, targets_r, targets_t) -> None:
-    """One SGD step for user u, in place: params*(1 - lr*lam/n) - lr*grad."""
     trace = forward_sampled(store, hp, rating_in, trust_in,
                             targets_r[0], targets_t[0], user=u)
+    rating_u = float(logistic_loss(targets_r[1], trace.rating_pred).sum())
+    trust_u = float(logistic_loss(targets_t[1], trace.trust_pred).sum())
+    corr_u = correlative_term(trace.z_rating, trace.z_trust,
+                              store.map_trust_to_rating[...],
+                              store.map_rating_to_trust[...])
     pieces = backprop_core(store, hp, trace, targets_r, targets_t)
     decay_w = 1.0 - hp.lr * hp.weight_decay / n
     decay_m = 1.0 - hp.lr * hp.map_decay / n
@@ -186,6 +157,7 @@ def _user_step(store: _ScaledParams, hp: Hyperparams, n: int, u: int,
         s.decay(decay_m if name in MAP_TENSORS else decay_w)
     for name, rows, vals in pieces:
         getattr(store, name).sub_rows(rows, vals, hp.lr)
+    return rating_u, trust_u, corr_u
 
 
 def train(train_data: SparseInteractions, hp: Hyperparams,
@@ -195,8 +167,11 @@ def train(train_data: SparseInteractions, hp: Hyperparams,
     For every user in a freshly shuffled order: resample negatives, corrupt
     the inputs, run the forward pass, and take one gradient step. Decay is
     applied per user step at 1/n strength, so an epoch amounts to one full
-    decay application. `checkpoint(epoch, params)` is invoked every
-    `checkpoint_every` epochs and at termination when provided.
+    decay application. An epoch's logged loss is the mean of the steps'
+    losses plus the end-of-epoch decay norms at 1/n strength. Early
+    stopping needs `patience` epochs in a row that miss the best total so
+    far by `stop_tol` relative. `checkpoint(epoch, params)` is invoked
+    every `checkpoint_every` epochs and at termination when provided.
     """
     if train_data.nnz("rating") == 0:
         raise TrainingError("training data has no rating interactions")
@@ -208,6 +183,7 @@ def train(train_data: SparseInteractions, hp: Hyperparams,
     stall = 0
     for epoch in range(hp.epochs):
         tic = time.perf_counter()
+        rating_sum = trust_sum = corr_sum = 0.0
         order = stream(hp.seed, _SHUFFLE, epoch).permutation(n)
         for u in order.tolist():
             targets_r, targets_t, pos_r, pos_t = _user_targets(
@@ -217,23 +193,33 @@ def train(train_data: SparseInteractions, hp: Hyperparams,
             rng_c = stream(hp.seed, _CORRUPT, epoch, u)
             rating_in, _ = corrupt(pos_r, hp.corruption, rng_c)
             trust_in, _ = corrupt(pos_t, hp.corruption, rng_c)
-            _user_step(scaled, hp, n, u, rating_in, trust_in, targets_r, targets_t)
+            rating_u, trust_u, corr_u = _user_step(
+                scaled, hp, n, u, rating_in, trust_in, targets_r, targets_t)
+            if not np.isfinite(rating_u + trust_u + corr_u):
+                raise TrainingError(f"non-finite loss at epoch {epoch}, user {u}")
+            rating_sum += rating_u
+            trust_sum += trust_u
+            corr_sum += corr_u
 
-        epoch_loss, param_norm = _epoch_loss(scaled, train_data, hp, epoch)
+        params = scaled.snapshot()
+        wd, md = params.decay_norms()
+        epoch_loss = loss_breakdown(hp, rating_sum / n, trust_sum / n,
+                                    corr_sum / n, wd / n, md / n)
+        if not np.isfinite(epoch_loss.total):
+            raise TrainingError(f"non-finite parameters after epoch {epoch}")
         log.epochs.append(EpochStats(epoch=epoch, loss=epoch_loss,
                                      wall_time=time.perf_counter() - tic,
-                                     param_norm=param_norm))
+                                     param_norm=params.norm()))
         if checkpoint is not None and checkpoint_every and (epoch + 1) % checkpoint_every == 0:
-            checkpoint(epoch, scaled.snapshot())
+            checkpoint(epoch, params)
         if hp.early_stop and epoch > 0:
-            prev = log.epochs[-2].loss.total
-            rel = (prev - epoch_loss.total) / max(abs(prev), 1e-12)
+            best = min(e.loss.total for e in log.epochs[:-1])
+            rel = (best - epoch_loss.total) / max(abs(best), 1e-12)
             stall = stall + 1 if rel < hp.stop_tol else 0
             if stall >= hp.patience:
                 log.stop_reason = "early_stop"
                 break
 
-    params = scaled.snapshot()
     if checkpoint is not None:
         checkpoint(len(log.epochs) - 1, params)
     return params, log

@@ -216,3 +216,26 @@ class TestCache:
         path.write_bytes(b"not a cache at all")
         with pytest.raises(DatasetError):
             load_cache(path)
+
+    @pytest.mark.parametrize("keep", [8 + 20, -8], ids=["short_header", "short_body"])
+    def test_truncated(self, block_ds, tmp_path, keep):
+        path = tmp_path / "ds.cache"
+        save_cache(block_ds, path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(DatasetError, match="truncated"):
+            load_cache(path)
+
+    @pytest.mark.parametrize("ratings,trusts", [
+        ([[0, 2]], [[0, 1]]),   # item index == m
+        ([[2, 0]], [[0, 1]]),   # user index == n
+        ([[0, 1]], [[1, 2]]),   # trustee index == n
+        ([[0, -1]], [[0, 1]]),
+    ])
+    def test_index_out_of_range(self, tmp_path, ratings, trusts):
+        ds = Dataset(n=2, m=2, ratings=np.array(ratings, dtype=np.int64),
+                     trusts=np.array(trusts, dtype=np.int64),
+                     user_ids=["a", "b"], item_ids=["x", "y"])
+        path = tmp_path / "ds.cache"
+        save_cache(ds, path)
+        with pytest.raises(DatasetError, match="out of range"):
+            load_cache(path)

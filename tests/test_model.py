@@ -121,13 +121,15 @@ class TestEncodeFuseDecode:
 
     def test_decode_center(self):
         p = td.init_params(5, 7, 3, seed=2)
-        r_hat, t_hat = td.decode(p, np.zeros(3))
+        r_hat = sigmoid(p.rating_dec_w @ np.zeros(3) + p.rating_dec_b)
+        t_hat = sigmoid(p.trust_dec_w @ np.zeros(3) + p.trust_dec_b)
         assert np.allclose(r_hat, 0.5) and np.allclose(t_hat, 0.5)
 
     def test_decode_at_matches_full(self):
         p = td.init_params(5, 7, 3, seed=3)
         fused = np.array([0.2, 0.8, 0.5])
-        r_full, t_full = td.decode(p, fused)
+        r_full = sigmoid(p.rating_dec_w @ fused + p.rating_dec_b)
+        t_full = sigmoid(p.trust_dec_w @ fused + p.trust_dec_b)
         idx_i, idx_u = np.array([1, 6]), np.array([0, 4])
         r_sel, t_sel, rows_i, rows_u = decode_at(p, fused, idx_i, idx_u)
         np.testing.assert_array_equal(r_sel, r_full[idx_i])
@@ -193,6 +195,19 @@ class TestCheckpoint:
         path = tmp_path / "junk"
         path.write_bytes(b"garbage")
         with pytest.raises(ValueError):
+            td.load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut,match", [
+        (lambda size: 8 + 4, "header"),
+        (lambda size: 8 + 8 + 10, "header"),
+        (lambda size: size - 8, "tensor map_rating_to_trust"),
+    ], ids=["short_length", "short_blob", "short_tensor"])
+    def test_truncated(self, tmp_path, cut, match):
+        path = tmp_path / "model.ckpt"
+        td.save_checkpoint(td.init_params(4, 5, 3, seed=0), td.Hyperparams(), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:cut(len(data))])
+        with pytest.raises(ValueError, match=f"model.ckpt: truncated checkpoint .*{match}"):
             td.load_checkpoint(path)
 
 

@@ -126,8 +126,11 @@ class TestUserLoss:
 
 class TestUserGradients:
     def test_finite_difference_agreement(self):
-        report = run_suite(instances=5, seed0=50)
+        report = run_suite(instances=5, seed0=50, rel_tol=1e-4)
         assert report.ok, f"max_rel={report.max_rel_err}"
+        # the reported relative error covers entries large enough for it
+        # to mean something, so it is nonzero on working code
+        assert 0.0 < report.max_rel_err < 1e-4
 
     def test_finite_difference_with_corruption_and_scale(self):
         hp, params, trace, tr, tt, u, rating_in, trust_in, _ = make_setup(

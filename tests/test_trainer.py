@@ -1,11 +1,14 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 import trustdae as td
 from trustdae import synth
 from trustdae.gradcheck import random_instance
-from trustdae.model import forward_sampled
-from trustdae.trainer import TrainingError, _ScaledParams, _user_step, stream
+from trustdae.model import corrupt, forward_sampled
+from trustdae.trainer import (_CORRUPT, _ITEM_NEG, _USER_NEG, TrainingError,
+                              _ScaledParams, _user_step, _user_targets, stream)
 
 from conftest import make_tiny_store
 
@@ -62,12 +65,51 @@ class TestTrain:
         with pytest.raises(TrainingError, match="epoch 0, user"):
             td.train(train_set, td.Hyperparams(latent_dim=3, epochs=1))
 
+    def test_non_finite_parameters_abort_after_epoch(self, monkeypatch):
+        # nobody rates item 4, so its encoder row enters no step's loss,
+        # only the end-of-epoch decay norm
+        store = td.SparseInteractions(4, 5, [(u, i) for u in range(4) for i in range(3)],
+                                      [])
+
+        def poisoned(n, m, k, seed, user_embedding=False):
+            params = td.init_params(n, m, k, seed, user_embedding)
+            params.rating_enc_w[4, 0] = np.inf
+            return params
+
+        monkeypatch.setattr("trustdae.trainer.init_params", poisoned)
+        with pytest.raises(TrainingError, match="after epoch 0"):
+            td.train(store, td.Hyperparams(latent_dim=3, epochs=2))
+
     def test_param_norm_stays_bounded(self):
         train_set, _ = small_train_set()
         hp = td.Hyperparams(latent_dim=6, epochs=20, seed=0, weight_decay=0.01)
         init_norm = td.init_params(train_set.n, train_set.m, 6, 0).norm()
         _, log = td.train(train_set, hp)
         assert all(e.param_norm <= 100 * init_norm for e in log.epochs)
+
+    def test_logged_loss_is_mean_training_step_loss(self):
+        # with lr=0 the parameters never move, so every step's loss is the
+        # checked objective at the initial parameters on that step's streams
+        train_set, _ = small_train_set()
+        n = train_set.n
+        hp = td.Hyperparams(latent_dim=4, epochs=2, lr=0.0, seed=3)
+        _, log = td.train(train_set, hp)
+        params = td.init_params(n, train_set.m, 4, seed=3)
+        for e, stats in enumerate(log.epochs):
+            parts = []
+            for u in range(n):
+                tr, tt, pos_r, pos_t = _user_targets(
+                    train_set, u, stream(hp.seed, _ITEM_NEG, e, u),
+                    stream(hp.seed, _USER_NEG, e, u))
+                rng_c = stream(hp.seed, _CORRUPT, e, u)
+                rating_in, _ = corrupt(pos_r, hp.corruption, rng_c)
+                trust_in, _ = corrupt(pos_t, hp.corruption, rng_c)
+                trace = forward_sampled(params, hp, rating_in, trust_in,
+                                        tr[0], tt[0], user=u)
+                parts.append(astuple(td.user_loss(params, hp, trace, tr, tt,
+                                                  decay_scale=1.0 / n)))
+            np.testing.assert_allclose(astuple(stats.loss), np.mean(parts, axis=0),
+                                       rtol=1e-12, atol=0)
 
     def test_early_stop(self):
         train_set, _ = small_train_set()
