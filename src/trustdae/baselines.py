@@ -26,10 +26,11 @@ def pop_fit(train: SparseInteractions) -> PopModel:
     return PopModel(item_counts=counts)
 
 
-def pop_scores(model: PopModel, u: int) -> np.ndarray:
-    """Same scores for every user; personalization happens only through
-    the exclusion of each user's own training positives at ranking time."""
-    return model.item_counts.astype(np.float64)
+def pop_scores(model: PopModel, users) -> np.ndarray:
+    """Same scores for every user, as a read-only (len(users), m) view of the
+    counts; personalization happens only through the exclusion of each
+    user's own training positives at ranking time."""
+    return np.broadcast_to(model.item_counts, (len(users), len(model.item_counts)))
 
 
 def ablation_config(base: Hyperparams, variant: str) -> Hyperparams:

@@ -146,7 +146,7 @@ def _run_fold(ds, split, fold, cfg, out_dir, header):
     train_set, test_set = dataset.materialize_split(ds, split, fold)
     if cfg.variant == "pop":
         model = baselines.pop_fit(train_set)
-        score_fn = lambda u: baselines.pop_scores(model, u)  # noqa: E731
+        score_fn = lambda users: baselines.pop_scores(model, users)  # noqa: E731
     else:
         hp = baselines.ablation_config(cfg.hyperparams(), cfg.variant)
         hp = hp.replace(seed=fold_seed(cfg.seed, fold))
@@ -161,8 +161,8 @@ def _run_fold(ds, split, fold, cfg, out_dir, header):
         if out_dir:
             _atomic_write(os.path.join(out_dir, f"fold{fold}_train_log.csv"),
                           (header or []) + log.csv_rows())
-        score_fn = lambda u, _p=params: predict_scores(  # noqa: E731
-            _p, train_set, u, hp.alpha)
+        score_fn = lambda users, _p=params: predict_scores(  # noqa: E731
+            _p, train_set, users, hp.alpha)
     return metrics.evaluate_fold(score_fn, train_set, test_set, cfg.top_n)
 
 

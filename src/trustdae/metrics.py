@@ -2,8 +2,9 @@
 
 Relevance is binary, so the 2^rel - 1 numerator of the DCG gain reduces
 to rel itself. Users whose test set is empty are excluded from every
-mean. The per-list kernels run in rank order with plain Python floats so
-an independent transcription of the formulas reproduces them exactly.
+mean. Scoring and ranking run on blocks of users; the per-list kernels
+run in rank order with plain Python floats so an independent
+transcription of the formulas reproduces them exactly.
 """
 
 from __future__ import annotations
@@ -16,25 +17,40 @@ import numpy as np
 
 from .sparse import SparseInteractions
 
+# score entries asked of a score function at once: a float64 block of
+# 2**18 entries is 2 MiB, so evaluation memory does not grow with the user count
+SCORE_BLOCK_ENTRIES = 2 ** 18
 
-def rank_top_n(scores: np.ndarray, train_positives, n: int) -> np.ndarray:
-    """Top-n items by score over the complement of the training positives.
 
-    Ties break toward the smaller item index; the list is shorter than n
-    only when fewer than n candidate items exist. NaN scores have no rank
-    and raise ValueError.
+def rank_top_n(scores: np.ndarray, train_rows, n: int) -> list[np.ndarray]:
+    """Top-n items of each row of a (B, m) score block, training positives left out.
+
+    `train_rows[r]` holds row r's training positives. Each list is in the
+    order (-score, item index) and is shorter than n only when its row has
+    fewer than n other items. NaN scores have no rank and raise ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or len(train_rows) != len(scores):
+        raise ValueError("scores must be a (B, m) block with one training row per row")
     if np.isnan(scores).any():
         raise ValueError("scores contain NaN")
-    train_positives = np.asarray(train_positives, dtype=np.int64)
-    masked = scores.copy()
-    masked[train_positives] = -np.inf
-    order = np.argsort(-masked, kind="stable")
-    n_candidates = len(scores) - len(train_positives)
-    return order[:min(n, n_candidates)]
+    b, m = scores.shape
+    excluded = np.zeros((b, m), dtype=bool)
+    for r, train_row in enumerate(train_rows):
+        excluded[r, np.asarray(train_row, dtype=np.int64)] = True
+    masked = np.where(excluded, -np.inf, scores)
+    # each row's n-th largest masked score; every unmasked item at or above
+    # it is a candidate, so all ties at the cut reach the sort
+    cut = m - min(n, m)
+    nth = masked[np.arange(b), np.argpartition(masked, cut, axis=1)[:, cut]]
+    cand_r, cand_i = np.nonzero(~excluded & (scores >= nth[:, None]))
+    order = np.lexsort((cand_i, -scores[cand_r, cand_i], cand_r))
+    counts = np.bincount(cand_r, minlength=b)
+    lengths = np.minimum(n, m - excluded.sum(axis=1))
+    return [cand_i[order[start:start + length]]
+            for start, length in zip(np.cumsum(counts) - counts, lengths)]
 
 
 def average_precision(items: np.ndarray, test_positives, n: int) -> float:
@@ -124,21 +140,28 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def evaluate_fold(score_fn: Callable[[int], np.ndarray], train: SparseInteractions,
+def evaluate_fold(score_fn: Callable[[np.ndarray], np.ndarray], train: SparseInteractions,
                   test: SparseInteractions, top_n: int) -> FoldMetrics:
-    """Rank every evaluable user with `score_fn` and collect AP/NDCG."""
-    users, counts, aps, ndcgs = [], [], [], []
-    for u in range(train.n):
-        test_row = test.row(u, "rating")
-        if len(test_row) == 0:
-            continue
-        train_row = train.row(u, "rating")
-        ranked = rank_top_n(score_fn(u), train_row, top_n)
-        users.append(u)
-        counts.append(len(train_row))
-        aps.append(average_precision(ranked, test_row, top_n))
-        ndcgs.append(ndcg(ranked, test_row, top_n))
-    return FoldMetrics(top_n=top_n, users=np.array(users, dtype=np.int64),
+    """Rank every evaluable user and collect AP/NDCG.
+
+    `score_fn(users)` returns the (len(users), m) score block of those
+    users. It is asked for the users with a nonempty test row, in
+    increasing order, in blocks of max(1, SCORE_BLOCK_ENTRIES // m).
+    """
+    users = np.array([u for u in range(train.n) if len(test.row(u, "rating"))],
+                     dtype=np.int64)
+    block = max(1, SCORE_BLOCK_ENTRIES // train.m)
+    counts, aps, ndcgs = [], [], []
+    for start in range(0, len(users), block):
+        chunk = users[start:start + block]
+        train_rows = [train.row(u, "rating") for u in chunk]
+        for u, train_row, ranked in zip(chunk, train_rows,
+                                        rank_top_n(score_fn(chunk), train_rows, top_n)):
+            test_row = test.row(u, "rating")
+            counts.append(len(train_row))
+            aps.append(average_precision(ranked, test_row, top_n))
+            ndcgs.append(ndcg(ranked, test_row, top_n))
+    return FoldMetrics(top_n=top_n, users=users,
                        train_counts=np.array(counts, dtype=np.int64),
                        ap=np.array(aps), ndcg=np.array(ndcgs))
 

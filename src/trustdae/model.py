@@ -4,7 +4,8 @@ A user is represented twice, from their rating row and from their trust
 row. Both sparse rows are dropout-corrupted, encoded through sigmoid
 layers into k-dimensional codes, fused by a convex combination, and the
 fused code is decoded back into per-item and per-user probabilities.
-Prediction runs the same pass on clean inputs.
+Prediction runs the same pass on clean inputs, for a block of users, and
+stops at the item logits.
 
 The passes read every tensor by indexing (`w[rows]`, `b[...]`), so any
 store that answers indexing under ModelParams' field names can stand in
@@ -30,6 +31,13 @@ PROB_EPS = 1e-7
 
 # the cross-view maps, decayed with map_decay; every other tensor takes weight_decay
 MAP_TENSORS = ("map_trust_to_rating", "map_rating_to_trust")
+
+# each tensor's dimensions over the user count n, item count m and code size k,
+# in ModelParams' field order; a checkpoint must agree on n, m and k throughout
+_TENSOR_DIMS = {"rating_enc_w": "mk", "trust_enc_w": "nk", "rating_enc_b": "k",
+                "trust_enc_b": "k", "rating_dec_w": "mk", "rating_dec_b": "m",
+                "trust_dec_w": "nk", "trust_dec_b": "n", "map_trust_to_rating": "kk",
+                "map_rating_to_trust": "kk", "user_vecs": "nk"}
 
 
 @dataclass(frozen=True)
@@ -273,14 +281,20 @@ def forward_sampled(params: ModelParams, hp: Hyperparams, rating_in: Row,
                         user=user)
 
 
-def predict_scores(params: ModelParams, train: SparseInteractions, u: int,
+def predict_scores(params: ModelParams, train: SparseInteractions, users,
                    alpha: float) -> np.ndarray:
-    """Item scores for ranking: clean inputs, no corruption or rescaling."""
-    rating_row = Row(train.row(u, "rating"), 1.0)
-    trust_row = Row(train.row(u, "trust"), 1.0)
-    z_rating, z_trust = encode(params, rating_row, trust_row, u)
-    fused = fuse(z_rating, z_trust, alpha)
-    return sigmoid(params.rating_dec_w @ fused + params.rating_dec_b)
+    """Item logits of `users`, one row each: clean inputs, no corruption or rescaling.
+
+    Ranking runs on these logits rather than on probabilities: sigmoid is
+    monotone, and skipping it keeps apart logits whose float64
+    probabilities round to one value (every logit above about 36.7 maps to 1.0).
+    """
+    fused = np.empty((len(users), params.k))
+    for r, u in enumerate(users):
+        z_rating, z_trust = encode(params, Row(train.row(u, "rating"), 1.0),
+                                   Row(train.row(u, "trust"), 1.0), u)
+        fused[r] = fuse(z_rating, z_trust, alpha)
+    return fused @ params.rating_dec_w.T + params.rating_dec_b
 
 
 def save_checkpoint(params: ModelParams, hp: Hyperparams, path) -> None:
@@ -299,8 +313,32 @@ def save_checkpoint(params: ModelParams, hp: Hyperparams, path) -> None:
             fh.write(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes())
 
 
+def _check_tensors(path, tensors: dict[str, np.ndarray], hp: Hyperparams) -> None:
+    """Reject a tensor set or shapes that do not form one model of `hp`."""
+    want = [name for name in _TENSOR_DIMS if name != "user_vecs" or hp.user_embedding]
+    for name in tensors:
+        if name not in want:
+            raise ValueError(f"{path}: unexpected tensor {name} "
+                             f"(user_embedding={hp.user_embedding})")
+    for name in want:
+        if name not in tensors:
+            raise ValueError(f"{path}: missing tensor {name}")
+    dims = {"k": hp.latent_dim}
+    for name in want:
+        spec, shape = _TENSOR_DIMS[name], tensors[name].shape
+        expect = tuple(dims.setdefault(d, size) for d, size in zip(spec, shape))
+        if len(shape) != len(spec) or shape != expect:
+            raise ValueError(f"{path}: tensor {name} has shape {shape}, expected "
+                             f"({', '.join(spec)}) = {expect} with latent_dim={hp.latent_dim}")
+
+
 def load_checkpoint(path) -> tuple[ModelParams, Hyperparams]:
-    """Read a checkpoint written by `save_checkpoint`, rejecting truncated files."""
+    """Read a checkpoint written by `save_checkpoint`.
+
+    Truncated files, a tensor set that does not match `user_embedding`, and
+    tensors that disagree on n, m or k (k = `latent_dim`) raise ValueError
+    naming the file.
+    """
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
@@ -318,4 +356,6 @@ def load_checkpoint(path) -> tuple[ModelParams, Hyperparams]:
             count = int(np.prod(shape))
             arr = np.frombuffer(read(8 * count, f"tensor {name}"), dtype="<f8").reshape(shape)
             kw[name] = arr.astype(np.float64)
-    return ModelParams(**kw), Hyperparams(**header["hyperparams"])
+    hp = Hyperparams(**header["hyperparams"])
+    _check_tensors(path, kw, hp)
+    return ModelParams(**kw), hp

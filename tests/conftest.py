@@ -32,14 +32,14 @@ def synth_runner(block_ds):
             train_set, test_set = td.materialize_split(block_ds, split, fold)
             if variant == "pop":
                 model = baselines.pop_fit(train_set)
-                score_fn = lambda u: baselines.pop_scores(model, u)  # noqa: E731
+                score_fn = lambda users: baselines.pop_scores(model, users)  # noqa: E731
             else:
                 hp = baselines.ablation_config(
                     td.Hyperparams(latent_dim=10, epochs=50, seed=seed), variant)
                 hp = hp.replace(seed=fold_seed(seed, fold))
                 params, _ = td.train(train_set, hp)
-                score_fn = lambda u, _p=params, _a=hp.alpha: td.predict_scores(  # noqa: E731
-                    _p, train_set, u, _a)
+                score_fn = lambda users, _p=params, _a=hp.alpha: td.predict_scores(  # noqa: E731
+                    _p, train_set, users, _a)
             fm = metrics.evaluate_fold(score_fn, train_set, test_set, 10)
             vals.append(fm.map_at_n)
         cache[key] = np.array(vals)

@@ -6,39 +6,83 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trustdae as td
+from trustdae import metrics
 from trustdae.metrics import (BucketStats, aggregate_folds, bucket_by_degree,
                               ci95_half_width, evaluate_fold, FoldMetrics)
 
 import bruteforce
 
 
+def rank_one(scores, train, n):
+    """`rank_top_n` on a block of one row."""
+    return td.rank_top_n(np.asarray(scores)[None, :], [train], n)[0]
+
+
 class TestRankTopN:
     def test_decreasing_scores(self):
         scores = np.linspace(1, 0, 8)
-        assert td.rank_top_n(scores, [], 3).tolist() == [0, 1, 2]
+        assert rank_one(scores, [], 3).tolist() == [0, 1, 2]
 
     def test_training_positive_excluded(self):
         scores = np.array([9.0, 1.0, 2.0, 3.0])
-        assert td.rank_top_n(scores, [0], 2).tolist() == [3, 2]
+        assert rank_one(scores, [0], 2).tolist() == [3, 2]
 
     def test_tie_break_by_index(self):
         scores = np.ones(6)
-        assert td.rank_top_n(scores, [1], 3).tolist() == [0, 2, 3]
+        assert rank_one(scores, [1], 3).tolist() == [0, 2, 3]
 
     def test_short_candidate_list(self):
         scores = np.ones(4)
-        assert len(td.rank_top_n(scores, [0, 1, 2], 10)) == 1
+        assert len(rank_one(scores, [0, 1, 2], 10)) == 1
+
+    def test_duplicate_training_positives(self):
+        # the candidate count comes from the mask, so a repeated positive
+        # does not shorten the list
+        assert rank_one(np.ones(4), [0, 0, 1], 10).tolist() == [2, 3]
 
     def test_does_not_mutate_scores(self):
         scores = np.array([1.0, 2.0])
-        td.rank_top_n(scores, [1], 1)
+        rank_one(scores, [1], 1)
         assert scores[1] == 2.0
 
     def test_nan_scores_rejected(self):
-        # NaN sorts after the masked training positives (-inf), so ranking
-        # these scores would put training positive 2 in the list
+        # NaN would sort after the masked training positives (-inf), so ranking
+        # these scores by value would put training positive 2 in the list
         with pytest.raises(ValueError, match="NaN"):
-            td.rank_top_n(np.array([np.nan, np.nan, 0.5, 0.4]), [2], 3)
+            rank_one(np.array([np.nan, np.nan, 0.5, 0.4]), [2], 3)
+
+    @pytest.mark.parametrize("bad_row", [0, 2])
+    def test_nan_in_any_row_rejected(self, bad_row):
+        scores = np.ones((3, 5))
+        scores[bad_row, 4] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            td.rank_top_n(scores, [[], [1], [2]], 2)
+
+    def test_logits_above_sigmoid_saturation_stay_apart(self):
+        # both logits are 1.0 after sigmoid, where a probability ranking
+        # would order them by index; the logit ranking puts item 1 first
+        assert td.model.sigmoid(np.array([40.0, 41.0])).tolist() == [1.0, 1.0]
+        assert rank_one(np.array([40.0, 41.0]), [], 2).tolist() == [1, 0]
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_block_matches_bruteforce(self, seed):
+        # integer scores for heavy ties, infinities that only the mask may
+        # exclude, repeated and empty positive sets, n up to past m
+        rng = np.random.default_rng(seed)
+        b, m = int(rng.integers(1, 8)), int(rng.integers(1, 25))
+        n = int(rng.integers(1, m + 5))
+        scores = rng.integers(0, 4, size=(b, m)).astype(float)
+        scores[rng.random((b, m)) < 0.1] = -np.inf
+        scores[rng.random((b, m)) < 0.05] = np.inf
+        train = [rng.integers(0, m, size=rng.integers(0, m + 2)) for _ in range(b)]
+        before = scores.copy()
+        ranked = td.rank_top_n(scores, train, n)
+        assert np.array_equal(scores, before)
+        assert len(ranked) == b
+        for r in range(b):
+            assert ranked[r].tolist() == bruteforce.rank_by_score(
+                scores[r].tolist(), set(train[r].tolist()), n)
 
 
 class TestKernelsAgainstHandValues:
@@ -84,7 +128,7 @@ class TestKernelProperties:
             rest = np.setdiff1d(np.arange(m), train)
             test = set(rng.choice(rest, size=rng.integers(1, len(rest) + 1),
                                   replace=False).tolist())
-            ranked = td.rank_top_n(scores, train, n_at)
+            ranked = rank_one(scores, train, n_at)
             assert ranked.tolist() == bruteforce.rank_by_score(
                 scores.tolist(), set(train.tolist()), n_at)
             assert td.average_precision(ranked, test, n_at) == \
@@ -112,9 +156,9 @@ class TestKernelProperties:
         scores = rng.random(20)
         train = [3, 8]
         test = {1, 5, 9}
-        base = td.rank_top_n(scores, train, 10)
+        base = rank_one(scores, train, 10)
         for transformed in (scores * 7.5 + 2, np.exp(scores)):
-            other = td.rank_top_n(transformed, train, 10)
+            other = rank_one(transformed, train, 10)
             assert other.tolist() == base.tolist()
             assert td.average_precision(other, test, 10) == \
                 td.average_precision(base, test, 10)
@@ -132,9 +176,46 @@ class TestEvaluateFold:
     def test_skips_users_without_test_items(self):
         train = td.SparseInteractions(3, 6, [(0, 0), (1, 1), (2, 2)], [])
         test = td.SparseInteractions(3, 6, [(0, 3), (2, 4)], [])
-        fm = evaluate_fold(lambda u: np.arange(6, dtype=float), train, test, 3)
+        fm = evaluate_fold(lambda users: np.tile(np.arange(6, dtype=float), (len(users), 1)),
+                           train, test, 3)
         assert fm.users.tolist() == [0, 2]
         assert fm.train_counts.tolist() == [1, 1]
+
+    @pytest.mark.parametrize("m", [3, 7, 2**17 + 1, 2**18 + 5])
+    def test_blocks_cover_evaluable_users_in_order(self, m):
+        n = 9
+        train = td.SparseInteractions(n, m, [(u, u % m) for u in range(n)], [])
+        test = td.SparseInteractions(n, m, [(u, (u + 1) % m) for u in range(n) if u % 3], [])
+        asked = []
+
+        def score_fn(users):
+            asked.append(list(users))
+            return np.zeros((len(users), m))
+
+        evaluate_fold(score_fn, train, test, 2)
+        assert [u for block in asked for u in block] == [u for u in range(n) if u % 3]
+        assert max(len(block) for block in asked) <= max(1, 2**18 // m)
+
+    @pytest.mark.parametrize("variant", ["tdae", "pop"])
+    def test_fold_metrics_independent_of_block_size(self, block_ds, monkeypatch, variant):
+        split = td.split_folds(block_ds, 5, seed=3)
+        train, test = td.materialize_split(block_ds, split, 1)
+        if variant == "pop":
+            model = td.pop_fit(train)
+            score_fn = lambda users: td.pop_scores(model, users)  # noqa: E731
+        else:
+            hp = td.Hyperparams(latent_dim=6, epochs=3, seed=2)
+            params, _ = td.train(train, hp)
+            score_fn = lambda users: td.predict_scores(  # noqa: E731
+                params, train, users, hp.alpha)
+        results = []
+        for users_per_block in (1, 2, train.n):
+            monkeypatch.setattr(metrics, "SCORE_BLOCK_ENTRIES", users_per_block * train.m)
+            results.append(evaluate_fold(score_fn, train, test, 10))
+        for other in results[1:]:
+            for field in ("users", "train_counts", "ap", "ndcg"):
+                assert np.array_equal(getattr(other, field), getattr(results[0], field))
+        assert results[0].map_at_n > 0
 
     def test_mean_definitions(self):
         fm = FoldMetrics(top_n=5, users=np.array([0, 1]),

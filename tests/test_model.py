@@ -1,3 +1,7 @@
+import dataclasses
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,10 +147,24 @@ class TestPredict:
     def test_deterministic(self):
         s = make_tiny_store(seed=1)
         p = td.init_params(s.n, s.m, 4, seed=0)
-        a = td.predict_scores(p, s, 2, 0.8)
-        b = td.predict_scores(p, s, 2, 0.8)
+        a = td.predict_scores(p, s, [2], 0.8)
+        b = td.predict_scores(p, s, [2], 0.8)
         assert np.array_equal(a, b)
-        assert np.all((a > 0) & (a < 1))
+        assert a.shape == (1, s.m) and np.isfinite(a).all()
+
+    def test_block_rows_are_decoder_logits(self):
+        # each row decodes the user's clean-input fused code, without sigmoid;
+        # a block product may differ from a per-user one in the last ulp
+        s = make_tiny_store(seed=3)
+        p = td.init_params(s.n, s.m, 4, seed=1, user_embedding=True)
+        users = [5, 0, 3]
+        block = td.predict_scores(p, s, users, 0.8)
+        assert block.shape == (len(users), s.m)
+        for r, u in enumerate(users):
+            z_r, z_t = td.encode(p, td.Row(s.row(u, "rating"), 1.0),
+                                 td.Row(s.row(u, "trust"), 1.0), u)
+            logits = p.rating_dec_w @ td.fuse(z_r, z_t, 0.8) + p.rating_dec_b
+            np.testing.assert_allclose(block[r], logits, rtol=1e-14, atol=1e-15)
 
     def test_alpha_one_ignores_trust(self):
         s1 = make_tiny_store(seed=1)
@@ -156,8 +174,8 @@ class TestPredict:
                                    [(u, (u + 3) % s1.n) for u in range(s1.n)])
         p = td.init_params(s1.n, s1.m, 4, seed=0)
         for u in range(s1.n):
-            assert np.array_equal(td.predict_scores(p, s1, u, 1.0),
-                                  td.predict_scores(p, s2, u, 1.0))
+            assert np.array_equal(td.predict_scores(p, s1, [u], 1.0),
+                                  td.predict_scores(p, s2, [u], 1.0))
 
     def test_alpha_zero_ignores_ratings(self):
         s1 = make_tiny_store(seed=2)
@@ -167,8 +185,8 @@ class TestPredict:
                                    trusts)
         p = td.init_params(s1.n, s1.m, 4, seed=0)
         for u in range(s1.n):
-            assert np.array_equal(td.predict_scores(p, s1, u, 0.0),
-                                  td.predict_scores(p, s2, u, 0.0))
+            assert np.array_equal(td.predict_scores(p, s1, [u], 0.0),
+                                  td.predict_scores(p, s2, [u], 0.0))
 
 
 class TestCheckpoint:
@@ -208,6 +226,49 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:cut(len(data))])
         with pytest.raises(ValueError, match=f"model.ckpt: truncated checkpoint .*{match}"):
+            td.load_checkpoint(path)
+
+    @staticmethod
+    def _write(path, hp, tensors):
+        """A checkpoint file of the given (name, array) pairs, written
+        without `save_checkpoint`, so that it may be inconsistent."""
+        header = {"hyperparams": dataclasses.asdict(hp),
+                  "tensors": [[name, list(arr.shape)] for name, arr in tensors]}
+        blob = json.dumps(header).encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(b"TRDAECK1" + struct.pack("<Q", len(blob)) + blob)
+            for _, arr in tensors:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+    def test_writer_matches_save_checkpoint(self, tmp_path):
+        hp = td.Hyperparams(latent_dim=3)
+        p = td.init_params(4, 7, 3, seed=0)
+        td.save_checkpoint(p, hp, tmp_path / "a.ckpt")
+        self._write(tmp_path / "b.ckpt", hp, list(p.tensors()))
+        p2, hp2 = td.load_checkpoint(tmp_path / "b.ckpt")
+        assert hp2 == hp
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(p.tensors(), p2.tensors()))
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda hp, t: (hp, t + [("extra_w", np.zeros((7, 3)))]), "unexpected tensor extra_w"),
+        (lambda hp, t: (hp, [x for x in t if x[0] != "trust_dec_b"]), "missing tensor trust_dec_b"),
+        (lambda hp, t: (hp, [(name, arr[:6] if name == "rating_dec_w" else arr)
+                             for name, arr in t]), r"tensor rating_dec_w has shape \(6, 3\)"),
+        (lambda hp, t: (hp, [(name, arr[:3] if name == "trust_dec_b" else arr)
+                             for name, arr in t]), r"tensor trust_dec_b has shape \(3,\)"),
+        (lambda hp, t: (hp.replace(latent_dim=4), t), r"tensor rating_enc_w .*latent_dim=4"),
+        (lambda hp, t: (hp.replace(user_embedding=True), t), "missing tensor user_vecs"),
+        (lambda hp, t: (hp, t + [("user_vecs", np.zeros((4, 3)))]), "unexpected tensor user_vecs"),
+        (lambda hp, t: (hp.replace(user_embedding=True), t + [("user_vecs", np.zeros((4, 2)))]),
+         r"tensor user_vecs has shape \(4, 2\)"),
+    ], ids=["unknown", "missing", "rows_m", "rows_n", "latent_dim", "no_user_vecs",
+            "stray_user_vecs", "user_vecs_k"])
+    def test_inconsistent(self, tmp_path, edit, match):
+        hp, tensors = edit(td.Hyperparams(latent_dim=3),
+                           list(td.init_params(4, 7, 3, seed=0).tensors()))
+        path = tmp_path / "model.ckpt"
+        self._write(path, hp, tensors)
+        with pytest.raises(ValueError, match=f"model.ckpt: {match}"):
             td.load_checkpoint(path)
 
 
