@@ -1,7 +1,7 @@
 """Trust-aware denoising autoencoder for implicit-feedback top-N recommendation."""
 
-from .dataset import (Dataset, DatasetError, FoldSplit, ParseError, RawRating,
-                      RawTrust, binarize_and_filter, load_cache, load_raw,
+from .dataset import (Dataset, DatasetError, FoldSplit, ParseError,
+                      binarize_and_filter, load_cache, load_raw,
                       materialize_split, save_cache, split_folds)
 from .model import (ForwardTrace, Hyperparams, ModelParams, Row, corrupt,
                     encode, forward_sampled, fuse, init_params,
@@ -17,7 +17,7 @@ from .baselines import PopModel, ablation_config, pop_fit, pop_scores
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "DatasetError", "FoldSplit", "ParseError", "RawRating", "RawTrust",
+    "Dataset", "DatasetError", "FoldSplit", "ParseError",
     "binarize_and_filter", "load_cache", "load_raw", "materialize_split",
     "save_cache", "split_folds",
     "ForwardTrace", "Hyperparams", "ModelParams", "Row", "corrupt", "encode",

@@ -12,7 +12,7 @@ import gzip
 import hashlib
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,19 +27,6 @@ class DatasetError(Exception):
 
 class ParseError(DatasetError):
     """Malformed input line; message carries file and line number."""
-
-
-@dataclass(frozen=True)
-class RawRating:
-    user: str
-    item: str
-    score: int
-
-
-@dataclass(frozen=True)
-class RawTrust:
-    truster: str
-    trustee: str
 
 
 @dataclass
@@ -57,14 +44,6 @@ class Dataset:
     trusts: np.ndarray
     user_ids: list[str]
     item_ids: list[str]
-    user_index: dict[str, int] = field(repr=False, default_factory=dict)
-    item_index: dict[str, int] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self.user_index:
-            self.user_index = {u: i for i, u in enumerate(self.user_ids)}
-        if not self.item_index:
-            self.item_index = {it: i for i, it in enumerate(self.item_ids)}
 
     def stats(self) -> dict[str, float]:
         return {
@@ -91,124 +70,120 @@ def _open_text(path):
     return open(path, "r", encoding="utf-8")
 
 
-def _fields(line: str) -> list[str]:
-    return line.replace(",", " ").split()
-
-
-def load_raw(ratings_path, trusts_path) -> tuple[list[RawRating], list[RawTrust]]:
-    """Parse rating and trust files; lines are (user item score) / (truster trustee)."""
-    ratings: list[RawRating] = []
-    with _open_text(ratings_path) as fh:
+def _rows(path, width: int):
+    """Yield (line number, fields) for each nonblank line; fields split on whitespace or commas."""
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = _fields(line)
+            parts = line.replace(",", " ").split()
             if not parts:
                 continue
-            if len(parts) != 3:
-                raise ParseError(f"{ratings_path}:{lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                score = int(parts[2])
-            except ValueError:
-                raise ParseError(f"{ratings_path}:{lineno}: score {parts[2]!r} is not an integer") from None
-            if not 1 <= score <= 5:
-                raise ParseError(f"{ratings_path}:{lineno}: score out of range at line {lineno}")
-            ratings.append(RawRating(parts[0], parts[1], score))
-    trusts: list[RawTrust] = []
-    with _open_text(trusts_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = _fields(line)
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ParseError(f"{trusts_path}:{lineno}: expected 2 fields, got {len(parts)}")
-            trusts.append(RawTrust(parts[0], parts[1]))
-    return ratings, trusts
+            if len(parts) != width:
+                raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
+            yield lineno, parts
 
 
-def binarize_and_filter(raw: list[RawRating], trusts: list[RawTrust],
+def load_raw(ratings_path, trusts_path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse rating and trust files; lines are (user item score) / (truster trustee).
+
+    Returns two object arrays in file order: ratings, (count, 3) rows of
+    user id, item id and integer score; trusts, (count, 2) rows of truster
+    and trustee id. Ids stay strings, so "01" and "1" are different users.
+    """
+    cells: list = []
+    for lineno, (user, item, score) in _rows(ratings_path, 3):
+        try:
+            value = int(score)
+        except ValueError:
+            raise ParseError(f"{ratings_path}:{lineno}: score {score!r} is not an integer") from None
+        if not 1 <= value <= 5:
+            raise ParseError(f"{ratings_path}:{lineno}: score out of range at line {lineno}")
+        cells += (user, item, value)
+    ratings = np.array(cells, dtype=object).reshape(-1, 3)
+    del cells   # not kept alive while the trust file is parsed
+    trusts = [field for _, parts in _rows(trusts_path, 2) for field in parts]
+    return ratings, np.array(trusts, dtype=object).reshape(-1, 2)
+
+
+def _dense_ids(codes: np.ndarray, names: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Number the distinct codes in order of first appearance.
+
+    Returns the dense id of every code (-1 for codes that do not occur)
+    and the names in dense order.
+    """
+    present, first = np.unique(codes, return_index=True)
+    order = present[np.argsort(first)]
+    dense = np.full(len(names), -1, dtype=np.int64)
+    dense[order] = np.arange(len(order))
+    return dense, names[order].tolist()
+
+
+def _first_occurrences(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
+    """Sorted positions of the first occurrence of each (a, b) code pair."""
+    _, first = np.unique(a * width + b, return_index=True)
+    return np.sort(first)
+
+
+def binarize_and_filter(ratings: np.ndarray, trusts: np.ndarray,
                         min_count: int = 5) -> Dataset:
     """Keep ratings >= 4 as positives and drop thin users/items to a fixed point.
 
-    Dropping a user can push an item below the threshold and vice versa,
-    so the filter iterates until no row or column changes. Trust edges are
-    deduplicated, stripped of self-loops, and restricted to surviving users.
+    Takes the arrays `load_raw` returns. A repeated (user, item) positive
+    keeps its first occurrence. Dropping a user can push an item below the
+    threshold and vice versa, so the filter iterates until no row or column
+    changes. Trust edges lose self-loops and repeats (the first occurrence
+    stays) and are restricted to surviving users.
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    seen: set[tuple[str, str]] = set()
-    pairs: list[tuple[str, str]] = []
-    for r in raw:
-        if r.score < 4:
-            continue
-        key = (r.user, r.item)
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append(key)
-
+    pos = ratings[ratings[:, 2].astype(np.int64) >= 4]
+    # rating users and trust endpoints share one code space
+    names, codes = np.unique(np.concatenate([pos[:, 0], trusts.ravel()]),
+                             return_inverse=True)
+    item_names, items = np.unique(pos[:, 1], return_inverse=True)
+    users = codes[:len(pos)]
+    keep = _first_occurrences(users, items, len(item_names))
+    users, items = users[keep], items[keep]
     while True:
-        user_cnt: dict[str, int] = {}
-        item_cnt: dict[str, int] = {}
-        for u, i in pairs:
-            user_cnt[u] = user_cnt.get(u, 0) + 1
-            item_cnt[i] = item_cnt.get(i, 0) + 1
-        kept = [(u, i) for u, i in pairs
-                if user_cnt[u] >= min_count and item_cnt[i] >= min_count]
-        if len(kept) == len(pairs):
+        ok = ((np.bincount(users, minlength=len(names))[users] >= min_count)
+              & (np.bincount(items, minlength=len(item_names))[items] >= min_count))
+        if ok.all():
             break
-        pairs = kept
-    if not pairs:
+        users, items = users[ok], items[ok]
+    if not len(users):
         raise DatasetError("no interactions left after filtering")
 
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    for u, i in pairs:
-        if u not in user_index:
-            user_index[u] = len(user_index)
-        if i not in item_index:
-            item_index[i] = len(item_index)
-
-    edge_seen: set[tuple[str, str]] = set()
-    edges: list[tuple[int, int]] = []
-    for t in trusts:
-        if t.truster == t.trustee:
-            continue
-        key = (t.truster, t.trustee)
-        if key in edge_seen:
-            continue
-        edge_seen.add(key)
-        if t.truster in user_index and t.trustee in user_index:
-            edges.append((user_index[t.truster], user_index[t.trustee]))
-
-    ratings = np.array([(user_index[u], item_index[i]) for u, i in pairs],
-                       dtype=np.int64).reshape(-1, 2)
-    trusts_arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    user_ids = sorted(user_index, key=user_index.get)
-    item_ids = sorted(item_index, key=item_index.get)
-    return Dataset(n=len(user_ids), m=len(item_ids), ratings=ratings,
-                   trusts=trusts_arr, user_ids=user_ids, item_ids=item_ids,
-                   user_index=user_index, item_index=item_index)
+    user_of, user_ids = _dense_ids(users, names)
+    item_of, item_ids = _dense_ids(items, item_names)
+    ends = codes[len(pos):].reshape(-1, 2)
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    edges = user_of[ends[_first_occurrences(ends[:, 0], ends[:, 1], len(names))]]
+    return Dataset(n=len(user_ids), m=len(item_ids),
+                   ratings=np.column_stack([user_of[users], item_of[items]]),
+                   trusts=edges[(edges >= 0).all(axis=1)],
+                   user_ids=user_ids, item_ids=item_ids)
 
 
 def split_folds(ds: Dataset, n_folds: int = 5, seed: int = 0) -> FoldSplit:
     """Per-user stratified assignment of positives to folds.
 
-    Each user's positives are permuted with a stream keyed by (seed, user)
-    and dealt round-robin, so per-user fold sizes differ by at most one.
+    Each user's positives, in rating order, are permuted with a stream
+    keyed by (seed, user) and dealt round-robin, so per-user fold sizes
+    differ by at most one.
     """
     if n_folds < 2:
         raise ValueError("n_folds must be >= 2")
-    folds = np.empty(len(ds.ratings), dtype=np.int64)
-    rows: list[list[int]] = [[] for _ in range(ds.n)]
-    for pos, (u, _) in enumerate(ds.ratings):
-        rows[int(u)].append(pos)
-    for u, positions in enumerate(rows):
-        if len(positions) < n_folds:
+    users = ds.ratings[:, 0]
+    order = np.argsort(users, kind="stable")
+    folds = np.empty(len(users), dtype=np.int64)
+    start = 0
+    for u, count in enumerate(np.bincount(users, minlength=ds.n).tolist()):
+        if count < n_folds:
             raise DatasetError(
-                f"user {ds.user_ids[u]!r} has {len(positions)} positives, fewer than {n_folds} folds")
-        rng = np.random.default_rng([seed, u])
-        perm = rng.permutation(len(positions))
-        for j, slot in enumerate(perm):
-            folds[positions[slot]] = j % n_folds
+                f"user {ds.user_ids[u]!r} has {count} positives, fewer than {n_folds} folds")
+        positions = order[start:start + count]
+        start += count
+        perm = np.random.default_rng([seed, u]).permutation(count)
+        folds[positions[perm]] = np.arange(count) % n_folds
     return FoldSplit(n_folds=n_folds, folds=folds)
 
 

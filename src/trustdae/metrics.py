@@ -148,8 +148,7 @@ def evaluate_fold(score_fn: Callable[[np.ndarray], np.ndarray], train: SparseInt
     users. It is asked for the users with a nonempty test row, in
     increasing order, in blocks of max(1, SCORE_BLOCK_ENTRIES // m).
     """
-    users = np.array([u for u in range(train.n) if len(test.row(u, "rating"))],
-                     dtype=np.int64)
+    users = np.flatnonzero(test.counts("rating"))
     block = max(1, SCORE_BLOCK_ENTRIES // train.m)
     counts, aps, ndcgs = [], [], []
     for start in range(0, len(users), block):

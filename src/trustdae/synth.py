@@ -11,33 +11,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset, RawRating, RawTrust, binarize_and_filter
+from .dataset import Dataset, binarize_and_filter
 
 
 def make_block_raw(n_users: int = 200, n_items: int = 300, n_communities: int = 4,
                    block_items: int = 60, p_rate: float = 0.3,
                    p_trust: float = 0.1, seed: int = 0
-                   ) -> tuple[list[RawRating], list[RawTrust]]:
-    """Raw records with planted block structure, in external-id form."""
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Raw records with planted block structure, as `load_raw` returns them."""
     if n_communities * block_items > n_items:
         raise ValueError("item blocks exceed the item count")
     if n_users % n_communities != 0:
         raise ValueError("n_users must divide evenly into communities")
     rng = np.random.default_rng(seed)
     per_comm = n_users // n_communities
-    ratings: list[RawRating] = []
-    trusts: list[RawTrust] = []
-    for u in range(n_users):
-        comm = u // per_comm
-        block = np.arange(comm * block_items, (comm + 1) * block_items)
-        rated = block[rng.random(block_items) < p_rate]
-        for i in rated.tolist():
-            ratings.append(RawRating(str(u), str(i), 5))
-        members = np.arange(comm * per_comm, (comm + 1) * per_comm)
-        trusted = members[rng.random(per_comm) < p_trust]
-        for v in trusted.tolist():
-            if v != u:
-                trusts.append(RawTrust(str(u), str(v)))
+    # each user's row: one draw per item of their block, then one per member
+    draws = rng.random((n_users, block_items + per_comm))
+    comm = np.arange(n_users) // per_comm
+    u, j = np.nonzero(draws[:, :block_items] < p_rate)
+    ratings = np.empty((len(u), 3), dtype=object)
+    ratings[:, 0] = u.astype(str)
+    ratings[:, 1] = (comm[u] * block_items + j).astype(str)
+    ratings[:, 2] = 5
+    a, j = np.nonzero(draws[:, block_items:] < p_trust)
+    b = comm[a] * per_comm + j
+    a, b = a[a != b], b[a != b]
+    trusts = np.empty((len(a), 2), dtype=object)
+    trusts[:, 0] = a.astype(str)
+    trusts[:, 1] = b.astype(str)
     return ratings, trusts
 
 
@@ -46,11 +47,9 @@ def make_block_dataset(min_count: int = 5, **kw) -> Dataset:
     return binarize_and_filter(ratings, trusts, min_count=min_count)
 
 
-def write_raw_files(ratings: list[RawRating], trusts: list[RawTrust],
+def write_raw_files(ratings: np.ndarray, trusts: np.ndarray,
                     ratings_path, trusts_path) -> None:
     with open(ratings_path, "w", encoding="utf-8") as fh:
-        for r in ratings:
-            fh.write(f"{r.user} {r.item} {r.score}\n")
+        fh.writelines(f"{u} {i} {s}\n" for u, i, s in ratings.tolist())
     with open(trusts_path, "w", encoding="utf-8") as fh:
-        for t in trusts:
-            fh.write(f"{t.truster} {t.trustee}\n")
+        fh.writelines(f"{a} {b}\n" for a, b in trusts.tolist())

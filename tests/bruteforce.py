@@ -1,11 +1,17 @@
-"""Independent brute-force transcriptions of the ranking formulas.
+"""Independent brute-force transcriptions of the ranking formulas and the
+preprocessing rules.
 
 Everything here is written without incremental bookkeeping: precision is
 recounted from scratch at each cutoff, rankings are built with plain
-sorts. Used as the oracle the package kernels must agree with exactly.
+sorts, and preprocessing walks the records one at a time with dicts and
+sets. Used as the oracle the package code must agree with exactly.
 """
 
 import math
+
+import numpy as np
+
+from trustdae.dataset import DatasetError
 
 
 def precision_at_k(ranked, test_set, k):
@@ -54,3 +60,56 @@ def popularity_ap_per_user(counts, train_rows, test_rows, n):
         ranked = rank_by_score(list(counts), set(train_rows[u]), n)
         values.append(ap_at_n(ranked, test_set, n))
     return values
+
+
+def binarize_and_filter(ratings, trusts, min_count):
+    """Record-by-record preprocessing of (user, item, score) and (truster, trustee) rows.
+
+    Returns (user_ids, item_ids, dense rating pairs, dense trust pairs).
+    """
+    seen, pairs = set(), []
+    for user, item, score in ratings:
+        if score >= 4 and (user, item) not in seen:
+            seen.add((user, item))
+            pairs.append((user, item))
+    while True:
+        user_cnt, item_cnt = {}, {}
+        for u, i in pairs:
+            user_cnt[u] = user_cnt.get(u, 0) + 1
+            item_cnt[i] = item_cnt.get(i, 0) + 1
+        kept = [(u, i) for u, i in pairs
+                if user_cnt[u] >= min_count and item_cnt[i] >= min_count]
+        if len(kept) == len(pairs):
+            break
+        pairs = kept
+    if not pairs:
+        raise DatasetError("no interactions left after filtering")
+    user_index, item_index = {}, {}
+    for u, i in pairs:
+        user_index.setdefault(u, len(user_index))
+        item_index.setdefault(i, len(item_index))
+    seen, edges = set(), []
+    for a, b in trusts:
+        if a == b or (a, b) in seen:
+            continue
+        seen.add((a, b))
+        if a in user_index and b in user_index:
+            edges.append([user_index[a], user_index[b]])
+    return (list(user_index), list(item_index),
+            [[user_index[u], item_index[i]] for u, i in pairs], edges)
+
+
+def split_folds(pairs, user_ids, n_folds, seed):
+    """Deal each user's positives, permuted by the (seed, user) stream, round-robin."""
+    rows = [[] for _ in user_ids]
+    for pos, (u, _) in enumerate(pairs):
+        rows[u].append(pos)
+    folds = [None] * len(pairs)
+    for u, positions in enumerate(rows):
+        if len(positions) < n_folds:
+            raise DatasetError(f"user {user_ids[u]!r} has {len(positions)} positives, "
+                               f"fewer than {n_folds} folds")
+        perm = np.random.default_rng([seed, u]).permutation(len(positions))
+        for j, slot in enumerate(perm):
+            folds[positions[slot]] = j % n_folds
+    return folds

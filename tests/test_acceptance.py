@@ -122,7 +122,7 @@ def test_6_cmd_run_determinism(tmp_path):
 
 def test_7_complexity_scaling():
     hp = td.Hyperparams(latent_dim=10, epochs=5, seed=0)
-    xs, ys = [], []
+    xs, train_sets = [], []
     for communities in (2, 4, 8):
         ds = synth.make_block_dataset(n_users=50 * communities,
                                       n_items=60 * communities,
@@ -132,12 +132,15 @@ def test_7_complexity_scaling():
         train_set, _ = td.materialize_split(ds, split, 0)
         xs.append((train_set.nnz("rating") + train_set.nnz("trust"))
                   * hp.latent_dim)
-        best = np.inf
-        for _ in range(3):
+        train_sets.append(train_set)
+    # the repeats go round-robin over the sizes, so a burst of load from
+    # other processes slows every size instead of skewing one
+    ys = np.full(len(train_sets), np.inf)
+    for _ in range(6):
+        for k, train_set in enumerate(train_sets):
             _, log = td.train(train_set, hp)
-            best = min(best, min(e.wall_time for e in log.epochs[1:]))
-        ys.append(best)
-    xs, ys = np.array(xs, dtype=float), np.array(ys)
+            ys[k] = min(ys[k], min(e.wall_time for e in log.epochs[1:]))
+    xs = np.array(xs, dtype=float)
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)
     r2 = 1.0 - float(resid @ resid) / float(((ys - ys.mean()) ** 2).sum())

@@ -166,11 +166,11 @@ class TestSynthModule:
         ratings, trusts = synth.make_block_raw(n_users=40, n_items=60,
                                                n_communities=2, block_items=30,
                                                p_rate=0.5, p_trust=0.2, seed=0)
-        for r in ratings:
-            assert int(r.user) // 20 == int(r.item) // 30
-        for t in trusts:
-            assert int(t.truster) // 20 == int(t.trustee) // 20
-            assert t.truster != t.trustee
+        for user, item, _ in ratings.tolist():
+            assert int(user) // 20 == int(item) // 30
+        for truster, trustee in trusts.tolist():
+            assert int(truster) // 20 == int(trustee) // 20
+            assert truster != trustee
 
     def test_write_raw_files_roundtrip(self, tmp_path):
         ratings, trusts = synth.make_block_raw(n_users=20, n_items=30,
@@ -179,7 +179,7 @@ class TestSynthModule:
         synth.write_raw_files(ratings, trusts, tmp_path / "r.txt", tmp_path / "t.txt")
         from trustdae.dataset import load_raw
         back_r, back_t = load_raw(tmp_path / "r.txt", tmp_path / "t.txt")
-        assert back_r == ratings and back_t == trusts
+        assert back_r.tolist() == ratings.tolist() and back_t.tolist() == trusts.tolist()
 
     def test_bad_geometry(self):
         with pytest.raises(ValueError):

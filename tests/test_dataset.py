@@ -1,12 +1,16 @@
 import gzip
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trustdae.dataset import (Dataset, DatasetError, ParseError, RawRating,
-                              RawTrust, binarize_and_filter, cache_sha256,
-                              load_cache, load_raw, materialize_split,
-                              save_cache, split_folds)
+import bruteforce
+from trustdae.dataset import (Dataset, DatasetError, ParseError,
+                              binarize_and_filter, cache_sha256, load_cache,
+                              load_raw, materialize_split, save_cache,
+                              split_folds)
 
 
 def write(path, text):
@@ -19,8 +23,8 @@ class TestLoadRaw:
         r = write(tmp_path / "r.txt", "12 7 5\n3,4,4\n")
         t = write(tmp_path / "t.txt", "12 3\n3,12\n")
         ratings, trusts = load_raw(r, t)
-        assert ratings == [RawRating("12", "7", 5), RawRating("3", "4", 4)]
-        assert trusts == [RawTrust("12", "3"), RawTrust("3", "12")]
+        assert ratings.tolist() == [["12", "7", 5], ["3", "4", 4]]
+        assert trusts.tolist() == [["12", "3"], ["3", "12"]]
 
     def test_score_out_of_range(self, tmp_path):
         r = write(tmp_path / "r.txt", "12 7 5\n12 7 9\n")
@@ -48,7 +52,7 @@ class TestLoadRaw:
         r = write(tmp_path / "r.txt", "\n\n")
         t = write(tmp_path / "t.txt", "")
         ratings, trusts = load_raw(r, t)
-        assert ratings == [] and trusts == []
+        assert ratings.shape == (0, 3) and trusts.shape == (0, 2)
 
     def test_gzip_transparent(self, tmp_path):
         r = tmp_path / "r.txt.gz"
@@ -56,7 +60,7 @@ class TestLoadRaw:
             fh.write("1 2 5\n")
         t = write(tmp_path / "t.txt", "")
         ratings, _ = load_raw(str(r), t)
-        assert ratings == [RawRating("1", "2", 5)]
+        assert ratings.tolist() == [["1", "2", 5]]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -64,7 +68,12 @@ class TestLoadRaw:
 
 
 def ratings_of(*triples):
-    return [RawRating(str(u), str(i), s) for u, i, s in triples]
+    return np.array([(str(u), str(i), s) for u, i, s in triples],
+                    dtype=object).reshape(-1, 3)
+
+
+def trusts_of(*pairs):
+    return np.array(pairs, dtype=object).reshape(-1, 2)
 
 
 class TestBinarizeAndFilter:
@@ -72,7 +81,7 @@ class TestBinarizeAndFilter:
         raw = ratings_of(*[("u", i, 5) for i in range(5)],
                          *[(v, i, 4) for v in "abcd" for i in range(5)],
                          ("u", 99, 3))
-        ds = binarize_and_filter(raw, [], min_count=5)
+        ds = binarize_and_filter(raw, trusts_of(), min_count=5)
         ext = {(ds.user_ids[u], ds.item_ids[i]) for u, i in ds.ratings}
         assert ("u", "99") not in ext
         assert ("u", "0") in ext and ("a", "0") in ext
@@ -83,14 +92,15 @@ class TestBinarizeAndFilter:
         base = [(u, i, 5) for u in range(4) for i in range(4)]
         extra = [(5, 0, 5), (5, "x", 5)]
         raw = ratings_of(*base, *extra)
-        ds = binarize_and_filter(raw, [], min_count=3)
-        assert "5" not in ds.user_index and "x" not in ds.item_index
+        ds = binarize_and_filter(raw, trusts_of(), min_count=3)
+        user_index = {ext: k for k, ext in enumerate(ds.user_ids)}
+        item_index = {ext: k for k, ext in enumerate(ds.item_ids)}
+        assert "5" not in user_index and "x" not in item_index
         assert ds.n == 4 and ds.m == 4
 
     def test_trust_restricted_and_cleaned(self):
         raw = ratings_of(*[(u, i, 5) for u in range(3) for i in range(3)])
-        trusts = [RawTrust("0", "1"), RawTrust("0", "1"), RawTrust("1", "1"),
-                  RawTrust("2", "77"), RawTrust("1", "2")]
+        trusts = trusts_of(("0", "1"), ("0", "1"), ("1", "1"), ("2", "77"), ("1", "2"))
         ds = binarize_and_filter(raw, trusts, min_count=3)
         got = {(ds.user_ids[a], ds.user_ids[b]) for a, b in ds.trusts}
         assert got == {("0", "1"), ("1", "2")}
@@ -98,12 +108,12 @@ class TestBinarizeAndFilter:
     def test_duplicate_ratings_dropped(self):
         raw = ratings_of(*[(u, i, 5) for u in range(2) for i in range(2)],
                          (0, 0, 5))
-        ds = binarize_and_filter(raw, [], min_count=2)
+        ds = binarize_and_filter(raw, trusts_of(), min_count=2)
         assert len(ds.ratings) == 4
 
     def test_empty_after_filter(self):
         with pytest.raises(DatasetError):
-            binarize_and_filter(ratings_of((1, 2, 5)), [], min_count=5)
+            binarize_and_filter(ratings_of((1, 2, 5)), trusts_of(), min_count=5)
 
     def test_min_counts_hold(self, block_ds):
         users, counts_u = np.unique(block_ds.ratings[:, 0], return_counts=True)
@@ -112,10 +122,10 @@ class TestBinarizeAndFilter:
         assert len(items) == block_ds.m and counts_i.min() >= 5
 
     def test_idempotent(self, block_ds):
-        raw = [RawRating(block_ds.user_ids[u], block_ds.item_ids[i], 5)
-               for u, i in block_ds.ratings]
-        trusts = [RawTrust(block_ds.user_ids[a], block_ds.user_ids[b])
-                  for a, b in block_ds.trusts]
+        raw = ratings_of(*[(block_ds.user_ids[u], block_ds.item_ids[i], 5)
+                           for u, i in block_ds.ratings])
+        trusts = trusts_of(*[(block_ds.user_ids[a], block_ds.user_ids[b])
+                             for a, b in block_ds.trusts])
         again = binarize_and_filter(raw, trusts, min_count=5)
         assert again.stats() == block_ds.stats()
         pairs = {(again.user_ids[u], again.item_ids[i]) for u, i in again.ratings}
@@ -123,10 +133,64 @@ class TestBinarizeAndFilter:
         assert pairs == orig
 
     def test_index_bijection(self, block_ds):
-        for ext, dense in list(block_ds.user_index.items())[:50]:
+        user_index = {ext: k for k, ext in enumerate(block_ds.user_ids)}
+        item_index = {ext: k for k, ext in enumerate(block_ds.item_ids)}
+        assert len(user_index) == block_ds.n and len(item_index) == block_ds.m
+        for ext, dense in list(user_index.items())[:50]:
             assert block_ds.user_ids[dense] == ext
-        for ext, dense in list(block_ds.item_index.items())[:50]:
+        for ext, dense in list(item_index.items())[:50]:
             assert block_ds.item_ids[dense] == ext
+
+
+# ids that sort differently as strings and as numbers, or only differ by a
+# leading zero, so any numeric reading of an id shows up as a mismatch
+IDS = ["0", "1", "01", "10", "2", "a"]
+
+
+@st.composite
+def raw_inputs(draw):
+    ratings = draw(st.lists(st.tuples(st.sampled_from(IDS), st.sampled_from(IDS),
+                                      st.sampled_from([1, 2, 3, 4, 5, 5, 5])),
+                            min_size=10, max_size=80))
+    # trust endpoints include ids that rate nothing, and self-loops
+    trusts = draw(st.lists(st.tuples(st.sampled_from(IDS + ["x", "y"]),
+                                     st.sampled_from(IDS + ["x", "y"])),
+                           max_size=30))
+    if draw(st.booleans()):   # repeat records verbatim
+        ratings += draw(st.lists(st.sampled_from(ratings), max_size=10))
+    if trusts and draw(st.booleans()):
+        trusts += draw(st.lists(st.sampled_from(trusts), max_size=10))
+    return ratings, trusts
+
+
+class TestAgainstRecordByRecordReference:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=raw_inputs(), min_count=st.integers(1, 4), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_filter_and_split_match_reference(self, raw, min_count, data, seed):
+        ratings, trusts = raw
+        # every surviving user has min_count positives, so n_folds <= min_count
+        # splits; min_count=1 also reaches the too-few-positives error
+        n_folds = data.draw(st.integers(2, max(2, min_count)))
+        ratings_arr, trusts_arr = ratings_of(*ratings), trusts_of(*trusts)
+        try:
+            want = bruteforce.binarize_and_filter(ratings, trusts, min_count)
+        except DatasetError:
+            with pytest.raises(DatasetError):
+                binarize_and_filter(ratings_arr, trusts_arr, min_count)
+            return
+        ds = binarize_and_filter(ratings_arr, trusts_arr, min_count)
+        assert ds.ratings.dtype == np.int64 and ds.trusts.dtype == np.int64
+        assert ds.ratings.shape == (len(want[2]), 2) and ds.trusts.shape == (len(want[3]), 2)
+        assert (ds.user_ids, ds.item_ids, ds.ratings.tolist(), ds.trusts.tolist()) == want
+        assert (ds.n, ds.m) == (len(want[0]), len(want[1]))
+        try:
+            want_folds = bruteforce.split_folds(want[2], want[0], n_folds, seed)
+        except DatasetError as exc:
+            with pytest.raises(DatasetError, match=re.escape(str(exc))):
+                split_folds(ds, n_folds, seed)
+            return
+        assert split_folds(ds, n_folds, seed).folds.tolist() == want_folds
 
 
 class TestFoldSplit:
@@ -141,9 +205,9 @@ class TestFoldSplit:
     def test_round_robin_counts(self):
         raw = ratings_of(*[(0, i, 5) for i in range(7)],
                          *[(u, i, 5) for u in range(1, 8) for i in range(7)])
-        ds = binarize_and_filter(raw, [], min_count=5)
+        ds = binarize_and_filter(raw, trusts_of(), min_count=5)
         split = split_folds(ds, 5, seed=0)
-        mask = ds.ratings[:, 0] == ds.user_index["0"]
+        mask = ds.ratings[:, 0] == ds.user_ids.index("0")
         sizes = sorted(np.bincount(split.folds[mask], minlength=5).tolist())
         assert sizes == [1, 1, 1, 2, 2]
 
@@ -158,7 +222,7 @@ class TestFoldSplit:
         raw = ratings_of(*[(0, i, 5) for i in range(3)],
                          *[(1, i, 5) for i in range(3)],
                          *[(2, i, 5) for i in range(3)])
-        ds = binarize_and_filter(raw, [], min_count=3)
+        ds = binarize_and_filter(raw, trusts_of(), min_count=3)
         with pytest.raises(DatasetError, match="fewer than 5 folds"):
             split_folds(ds, 5, seed=0)
 
