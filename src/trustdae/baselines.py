@@ -20,10 +20,8 @@ class PopModel:
 
 
 def pop_fit(train: SparseInteractions) -> PopModel:
-    counts = np.zeros(train.m, dtype=np.int64)
-    for u in range(train.n):
-        counts[train.row(u, "rating")] += 1
-    return PopModel(item_counts=counts)
+    _, items = train.rows(np.arange(train.n), "rating")
+    return PopModel(item_counts=np.bincount(items, minlength=train.m))
 
 
 def pop_scores(model: PopModel, users) -> np.ndarray:

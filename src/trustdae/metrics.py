@@ -2,9 +2,10 @@
 
 Relevance is binary, so the 2^rel - 1 numerator of the DCG gain reduces
 to rel itself. Users whose test set is empty are excluded from every
-mean. Scoring and ranking run on blocks of users; the per-list kernels
-run in rank order with plain Python floats so an independent
-transcription of the formulas reproduces them exactly.
+mean. Scoring, ranking and the AP/NDCG kernels run on blocks of users:
+each block's lists become a (B, n) boolean hit matrix, and the kernels
+add along its rows left to right in rank order, so an independent
+per-list transcription of the formulas reproduces them exactly.
 """
 
 from __future__ import annotations
@@ -53,33 +54,61 @@ def rank_top_n(scores: np.ndarray, train_rows, n: int) -> list[np.ndarray]:
             for start, length in zip(np.cumsum(counts) - counts, lengths)]
 
 
-def average_precision(items: np.ndarray, test_positives, n: int) -> float:
-    """AP@n: precision at each hit rank, averaged over min(n, #test items)."""
-    test = set(int(i) for i in test_positives)
-    if not test:
-        raise ValueError("test_positives must be nonempty")
-    hits = 0
-    total = 0.0
-    for rank, item in enumerate(items[:n].tolist(), start=1):
-        if item in test:
-            hits += 1
-            total += hits / rank
-    return total / min(n, len(test))
+def _check_kernel_args(hits, test_counts, n: int) -> tuple[np.ndarray, np.ndarray]:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    hits = np.asarray(hits, dtype=bool)
+    test_counts = np.asarray(test_counts, dtype=np.int64)
+    if hits.ndim != 2 or test_counts.shape != (len(hits),):
+        raise ValueError("hits must be a (B, L) block with one test count per row")
+    if (test_counts < 1).any():
+        raise ValueError("every test row must be nonempty")
+    return hits[:, :n], test_counts
 
 
-def ndcg(items: np.ndarray, test_positives, n: int) -> float:
-    """NDCG@n with binary gains; the ideal list has min(n, #test) hits on top."""
-    test = set(int(i) for i in test_positives)
-    if not test:
-        raise ValueError("test_positives must be nonempty")
-    dcg = 0.0
-    for rank, item in enumerate(items[:n].tolist(), start=1):
-        if item in test:
-            dcg += 1.0 / math.log2(rank + 1)
-    ideal = 0.0
-    for rank in range(1, min(n, len(test)) + 1):
-        ideal += 1.0 / math.log2(rank + 1)
-    return dcg / ideal
+def _row_totals(values: np.ndarray) -> np.ndarray:
+    """Each row summed left to right, in rank order."""
+    if values.shape[1] == 0:
+        return np.zeros(len(values))
+    return np.cumsum(values, axis=1)[:, -1]
+
+
+def average_precision(hits, test_counts, n: int) -> np.ndarray:
+    """AP@n of each row of a (B, L) hit block: precision at each hit rank,
+    averaged over min(n, #test items).
+
+    hits[r, j] says whether rank j + 1 of row r's list holds a test item,
+    test_counts[r] is the size of row r's test set; ranks past n are ignored.
+    """
+    hits, test_counts = _check_kernel_args(hits, test_counts, n)
+    precision = np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1)
+    return _row_totals(np.where(hits, precision, 0.0)) / np.minimum(n, test_counts)
+
+
+def ndcg(hits, test_counts, n: int) -> np.ndarray:
+    """NDCG@n of each row of a (B, L) hit block, with binary gains; the ideal
+    list has min(n, #test) hits on top. Arguments as for `average_precision`.
+    """
+    hits, test_counts = _check_kernel_args(hits, test_counts, n)
+    discount = np.array([1.0 / math.log2(rank + 1) for rank in range(1, n + 1)])
+    dcg = _row_totals(np.where(hits, discount[:hits.shape[1]], 0.0))
+    return dcg / np.cumsum(discount)[np.minimum(n, test_counts) - 1]
+
+
+def _hit_matrix(ranked: list[np.ndarray], users: np.ndarray, test_keys: np.ndarray,
+                m: int, n: int) -> np.ndarray:
+    """(len(users), n) block: whether slot j of users[r]'s list holds a test item.
+
+    `test_keys` are the sorted keys u*m + i of the test pairs; slots past
+    the end of a short list are never hits.
+    """
+    lengths = np.array([len(items) for items in ranked], dtype=np.int64)
+    filled = np.arange(n) < lengths[:, None]
+    keys = np.zeros((len(users), n), dtype=np.int64)
+    keys[filled] = np.concatenate(ranked)
+    keys += users[:, None] * m
+    at = np.minimum(np.searchsorted(test_keys, keys), len(test_keys) - 1)
+    return filled & (test_keys[at] == keys)
 
 
 @dataclass
@@ -148,21 +177,21 @@ def evaluate_fold(score_fn: Callable[[np.ndarray], np.ndarray], train: SparseInt
     users. It is asked for the users with a nonempty test row, in
     increasing order, in blocks of max(1, SCORE_BLOCK_ENTRIES // m).
     """
-    users = np.flatnonzero(test.counts("rating"))
+    test_counts = test.counts("rating")
+    users = np.flatnonzero(test_counts)
+    owner, items = test.rows(users, "rating")
+    test_keys = users[owner] * train.m + items   # sorted: users ascend, rows are sorted
     block = max(1, SCORE_BLOCK_ENTRIES // train.m)
-    counts, aps, ndcgs = [], [], []
+    aps, ndcgs = [np.empty(0)], [np.empty(0)]
     for start in range(0, len(users), block):
         chunk = users[start:start + block]
-        train_rows = [train.row(u, "rating") for u in chunk]
-        for u, train_row, ranked in zip(chunk, train_rows,
-                                        rank_top_n(score_fn(chunk), train_rows, top_n)):
-            test_row = test.row(u, "rating")
-            counts.append(len(train_row))
-            aps.append(average_precision(ranked, test_row, top_n))
-            ndcgs.append(ndcg(ranked, test_row, top_n))
+        ranked = rank_top_n(score_fn(chunk), [train.row(u, "rating") for u in chunk], top_n)
+        hits = _hit_matrix(ranked, chunk, test_keys, train.m, top_n)
+        aps.append(average_precision(hits, test_counts[chunk], top_n))
+        ndcgs.append(ndcg(hits, test_counts[chunk], top_n))
     return FoldMetrics(top_n=top_n, users=users,
-                       train_counts=np.array(counts, dtype=np.int64),
-                       ap=np.array(aps), ndcg=np.array(ndcgs))
+                       train_counts=train.counts("rating")[users],
+                       ap=np.concatenate(aps), ndcg=np.concatenate(ndcgs))
 
 
 def bucket_by_degree(folds: list[FoldMetrics], edges: list[int]) -> list[BucketStats]:

@@ -103,6 +103,23 @@ class SparseInteractions:
         indptr, cols, _ = self._select(which)
         return cols[indptr[u]:indptr[u + 1]]
 
+    def rows(self, users, which: str = "rating") -> tuple[np.ndarray, np.ndarray]:
+        """The rows of `users` laid end to end, as (owner, cols).
+
+        cols[j] is a column of the row of users[owner[j]]; the rows follow
+        the order of `users`, each sorted, so owner is nondecreasing.
+        """
+        users = np.asarray(users, dtype=np.int64)
+        if len(users) and (users.min() < 0 or users.max() >= self.n):
+            raise IndexError(f"user index out of range [0, {self.n})")
+        indptr, cols, _ = self._select(which)
+        starts = indptr[users]
+        lengths = indptr[users + 1] - starts
+        owner = np.repeat(np.arange(len(users)), lengths)
+        # position j of the concatenation is j - offset[owner] into its row
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return owner, cols[np.arange(len(owner)) + shift]
+
     def counts(self, which: str = "rating") -> np.ndarray:
         indptr, _, _ = self._select(which)
         return np.diff(indptr)

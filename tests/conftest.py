@@ -61,3 +61,22 @@ def make_tiny_store(seed=0, n=8, m=12):
             if int(v) != u:
                 edges.add((u, int(v)))
     return td.SparseInteractions(n, m, sorted(pairs), sorted(edges))
+
+
+def one_row_hits(items, test, n):
+    """One ranked list as the (1, n) hit block and test count of the block kernels."""
+    test = set(int(i) for i in test)
+    ranked = [int(i) for i in items][:n]
+    hits = np.zeros((1, n), dtype=bool)
+    hits[0, :len(ranked)] = [i in test for i in ranked]
+    return hits, [len(test)]
+
+
+def ap_one(items, test, n):
+    """`average_precision` of a single ranked list."""
+    return float(td.average_precision(*one_row_hits(items, test, n), n)[0])
+
+
+def ndcg_one(items, test, n):
+    """`ndcg` of a single ranked list."""
+    return float(td.ndcg(*one_row_hits(items, test, n), n)[0])

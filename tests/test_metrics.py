@@ -11,6 +11,7 @@ from trustdae.metrics import (BucketStats, aggregate_folds, bucket_by_degree,
                               ci95_half_width, evaluate_fold, FoldMetrics)
 
 import bruteforce
+from conftest import ap_one, ndcg_one
 
 
 def rank_one(scores, train, n):
@@ -88,33 +89,33 @@ class TestRankTopN:
 class TestKernelsAgainstHandValues:
     def test_ap_hits_at_one_and_three(self):
         items = np.array([5, 9, 7, 0, 1, 2, 3, 4, 6, 8])
-        got = td.average_precision(items, {5, 7}, 10)
+        got = ap_one(items, {5, 7}, 10)
         assert got == (1.0 + 2.0 / 3.0) / 2.0
         assert abs(got - 0.83333) < 1e-4
 
     def test_ap_perfect_and_empty(self):
         items = np.arange(10)
-        assert td.average_precision(items, set(range(15)), 10) == 1.0
-        assert td.average_precision(items, {99}, 10) == 0.0
+        assert ap_one(items, set(range(15)), 10) == 1.0
+        assert ap_one(items, {99}, 10) == 0.0
 
     def test_ndcg_hits_at_one_and_three(self):
         items = np.array([5, 9, 7, 0, 1, 2, 3, 4, 6, 8])
-        got = td.ndcg(items, {5, 7}, 10)
+        got = ndcg_one(items, {5, 7}, 10)
         expect = 1.5 / (1.0 + 1.0 / math.log2(3))
         assert got == expect
         assert abs(got - 0.9197) < 1e-4
 
     def test_ndcg_single_hit_at_top(self):
-        assert td.ndcg(np.array([3, 1, 2]), {3}, 10) == 1.0
+        assert ndcg_one(np.array([3, 1, 2]), {3}, 10) == 1.0
 
     def test_ndcg_no_hits(self):
-        assert td.ndcg(np.arange(5), {99}, 5) == 0.0
+        assert ndcg_one(np.arange(5), {99}, 5) == 0.0
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError):
-            td.average_precision(np.arange(3), set(), 3)
+            ap_one(np.arange(3), set(), 3)
         with pytest.raises(ValueError):
-            td.ndcg(np.arange(3), set(), 3)
+            ndcg_one(np.arange(3), set(), 3)
 
 
 class TestKernelProperties:
@@ -131,23 +132,23 @@ class TestKernelProperties:
             ranked = rank_one(scores, train, n_at)
             assert ranked.tolist() == bruteforce.rank_by_score(
                 scores.tolist(), set(train.tolist()), n_at)
-            assert td.average_precision(ranked, test, n_at) == \
+            assert ap_one(ranked, test, n_at) == \
                 bruteforce.ap_at_n(ranked.tolist(), test, n_at)
-            assert td.ndcg(ranked, test, n_at) == \
+            assert ndcg_one(ranked, test, n_at) == \
                 bruteforce.ndcg_at_n(ranked.tolist(), test, n_at)
 
     def test_tail_permutation_invariance(self):
         rng = np.random.default_rng(1)
         items = np.arange(10)
         test = {0, 3}
-        base_ap = td.average_precision(items, test, 10)
-        base_nd = td.ndcg(items, test, 10)
+        base_ap = ap_one(items, test, 10)
+        base_nd = ndcg_one(items, test, 10)
         for _ in range(20):
             tail = items[4:].copy()
             rng.shuffle(tail)  # below the last relevant rank
             shuffled = np.concatenate([items[:4], tail])
-            assert td.average_precision(shuffled, test, 10) == base_ap
-            assert td.ndcg(shuffled, test, 10) == base_nd
+            assert ap_one(shuffled, test, 10) == base_ap
+            assert ndcg_one(shuffled, test, 10) == base_nd
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -160,19 +161,76 @@ class TestKernelProperties:
         for transformed in (scores * 7.5 + 2, np.exp(scores)):
             other = rank_one(transformed, train, 10)
             assert other.tolist() == base.tolist()
-            assert td.average_precision(other, test, 10) == \
-                td.average_precision(base, test, 10)
+            assert ap_one(other, test, 10) == ap_one(base, test, 10)
 
     def test_range(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             items = rng.permutation(12)[:10]
             test = set(rng.choice(12, size=3, replace=False).tolist())
-            assert 0.0 <= td.average_precision(items, test, 10) <= 1.0
-            assert 0.0 <= td.ndcg(items, test, 10) <= 1.0
+            assert 0.0 <= ap_one(items, test, 10) <= 1.0
+            assert 0.0 <= ndcg_one(items, test, 10) <= 1.0
+
+
+class TestBlockKernels:
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_bruteforce(self, seed):
+        # lists shorter than n, rows with no hits and with every slot a hit,
+        # test sets above and below n, hit columns past n
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 13))
+        b, width = int(rng.integers(1, 9)), n + int(rng.integers(0, 4))
+        lists, tests = [], []
+        hits = np.zeros((b, width), dtype=bool)
+        for r in range(b):
+            ranked = rng.permutation(30)[:rng.integers(0, width + 1)].tolist()
+            mode = rng.integers(0, 3)
+            if mode == 0:     # no hits
+                test = set(range(30, 30 + int(rng.integers(1, 20))))
+            elif mode == 1:   # every listed item a hit, maybe more test items
+                test = set(ranked) | set(range(30, 30 + int(rng.integers(0, 20))))
+                test = test or {31}
+            else:
+                test = set(rng.choice(40, size=rng.integers(1, 25), replace=False).tolist())
+            hits[r, :len(ranked)] = [i in test for i in ranked]
+            lists.append(ranked)
+            tests.append(test)
+        counts = [len(t) for t in tests]
+        ap = td.average_precision(hits, counts, n)
+        nd = td.ndcg(hits, counts, n)
+        assert ap.shape == nd.shape == (b,)
+        for r in range(b):
+            assert ap[r] == bruteforce.ap_at_n(lists[r], tests[r], n)
+            assert nd[r] == bruteforce.ndcg_at_n(lists[r], tests[r], n)
+
+    def test_empty_test_row_in_block_rejected(self):
+        hits = np.zeros((3, 4), dtype=bool)
+        for kernel in (td.average_precision, td.ndcg):
+            with pytest.raises(ValueError, match="nonempty"):
+                kernel(hits, [2, 0, 1], 4)
 
 
 class TestEvaluateFold:
+    def test_short_lists_match_bruteforce(self):
+        # m < top_n leaves every list short; item 0 is a test item of users
+        # whose lists end before the padded slots, which must not count as hits
+        n, m = 6, 5
+        rng = np.random.default_rng(4)
+        train_pairs = [(u, i) for u in range(n) for i in range(1, m) if rng.random() < 0.4]
+        test_pairs = [(u, 0) for u in range(n) if u % 2] + [(2, 1), (4, 3)]
+        test_pairs = [p for p in test_pairs if p not in train_pairs]
+        train = td.SparseInteractions(n, m, train_pairs, [])
+        test = td.SparseInteractions(n, m, test_pairs, [])
+        scores = rng.random((n, m))
+        fm = evaluate_fold(lambda users: scores[users], train, test, 10)
+        for u, ap, nd in zip(fm.users, fm.ap, fm.ndcg):
+            ranked = bruteforce.rank_by_score(scores[u].tolist(), set(train.row(u).tolist()), 10)
+            test_set = set(test.row(u).tolist())
+            assert ap == bruteforce.ap_at_n(ranked, test_set, 10)
+            assert nd == bruteforce.ndcg_at_n(ranked, test_set, 10)
+        assert fm.map_at_n > 0
+
     def test_skips_users_without_test_items(self):
         train = td.SparseInteractions(3, 6, [(0, 0), (1, 1), (2, 2)], [])
         test = td.SparseInteractions(3, 6, [(0, 3), (2, 4)], [])

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -143,6 +144,14 @@ class TestEncodeFuseDecode:
         assert np.all((r_full > 0) & (r_full < 1))
 
 
+def per_user_logits(p, s, users, alpha):
+    """Each user's fused code from `encode` + `fuse`, decoded by one block matmul."""
+    fused = np.array([td.fuse(*td.encode(p, td.Row(s.row(u, "rating"), 1.0),
+                                         td.Row(s.row(u, "trust"), 1.0), u), alpha)
+                      for u in users])
+    return fused @ p.rating_dec_w.T + p.rating_dec_b
+
+
 class TestPredict:
     def test_deterministic(self):
         s = make_tiny_store(seed=1)
@@ -165,6 +174,43 @@ class TestPredict:
                                  td.Row(s.row(u, "trust"), 1.0), u)
             logits = p.rating_dec_w @ td.fuse(z_r, z_t, 0.8) + p.rating_dec_b
             np.testing.assert_allclose(block[r], logits, rtol=1e-14, atol=1e-15)
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_block_equals_per_user_encode(self, seed):
+        # empty rating and trust rows, user vectors, unsorted lists with
+        # repeats, and gathers that cross the chunk boundary
+        rng = np.random.default_rng(seed)
+        n, m, k = int(rng.integers(1, 15)), int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        ratings = [(u, i) for u in range(n) for i in range(m) if rng.random() < rng.random()]
+        trusts = [(u, v) for u in range(n) for v in range(n)
+                  if u != v and rng.random() < 0.4 * rng.random()]
+        s = td.SparseInteractions(n, m, ratings, trusts)
+        p = td.init_params(n, m, k, seed=seed, user_embedding=bool(rng.integers(0, 2)))
+        p.rating_enc_b += rng.standard_normal(k)
+        users = rng.integers(0, n, size=rng.integers(1, 2 * n + 1))
+        alpha = float(rng.choice([0.0, 0.8, 1.0, rng.random()]))
+        expect = per_user_logits(p, s, users, alpha)
+        for chunk in (1, 3, 7, td.model.ENCODE_CHUNK_ROWS):
+            with mock.patch.object(td.model, "ENCODE_CHUNK_ROWS", chunk):
+                assert np.array_equal(td.predict_scores(p, s, users, alpha), expect)
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_long_rows_keep_encode_summation_order(self, k):
+        # rows of 9 to 340 items: a pairwise segment sum (np.add.reduceat)
+        # differs from encode's sum here in the last bits
+        rng = np.random.default_rng(k)
+        n, m = 12, 400
+        lengths = [9, 17, 64, 129, 200, 340, 0, 12, 33, 90, 150, 8]
+        ratings = [(u, int(i)) for u, size in enumerate(lengths)
+                   for i in rng.choice(m, size=size, replace=False)]
+        trusts = [(u, v) for u in range(n) for v in range(n) if u != v]
+        s = td.SparseInteractions(n, m, ratings, trusts)
+        p = td.init_params(n, m, k, seed=3)
+        p.rating_enc_w += rng.standard_normal((m, k))
+        users = rng.permutation(n)
+        assert np.array_equal(td.predict_scores(p, s, users, 0.8),
+                              per_user_logits(p, s, users, 0.8))
 
     def test_alpha_one_ignores_trust(self):
         s1 = make_tiny_store(seed=1)

@@ -36,6 +36,22 @@ class TestRows:
         assert 4 in row0 and 3 not in row0
         assert 0 in row1 and 4 not in row1
 
+    @pytest.mark.parametrize("which", ["rating", "trust"])
+    def test_rows_concatenate_rows_in_user_order(self, which):
+        s = make_tiny_store(seed=4)
+        users = [5, 0, 5, 3, 7, 1]
+        owner, cols = s.rows(users, which)
+        assert owner.tolist() == [r for r, u in enumerate(users) for _ in s.row(u, which)]
+        assert cols.tolist() == [i for u in users for i in s.row(u, which).tolist()]
+
+    def test_rows_of_no_users_and_bad_users(self):
+        s = store_with(2, 5, [(0, 1), (1, 2)])
+        owner, cols = s.rows([], "rating")
+        assert len(owner) == len(cols) == 0
+        for bad in ([2], [-1]):
+            with pytest.raises(IndexError):
+                s.rows(bad, "rating")
+
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             store_with(2, 5, [(0, 1), (0, 1)])
