@@ -3,9 +3,11 @@
 Relevance is binary, so the 2^rel - 1 numerator of the DCG gain reduces
 to rel itself. Users whose test set is empty are excluded from every
 mean. Scoring, ranking and the AP/NDCG kernels run on blocks of users:
-each block's lists become a (B, n) boolean hit matrix, and the kernels
-add along its rows left to right in rank order, so an independent
-per-list transcription of the formulas reproduces them exactly.
+a block's training rows become a (B, m) mask of excluded items, its lists
+a (B, n) item matrix padded with -1, and its hits a (B, n) boolean matrix
+read from a mask of its test rows. The kernels add along each row left
+to right in rank order, so an independent per-list transcription of the
+formulas reproduces them exactly.
 """
 
 from __future__ import annotations
@@ -23,24 +25,22 @@ from .sparse import SparseInteractions
 SCORE_BLOCK_ENTRIES = 2 ** 18
 
 
-def rank_top_n(scores: np.ndarray, train_rows, n: int) -> list[np.ndarray]:
-    """Top-n items of each row of a (B, m) score block, training positives left out.
+def rank_top_n(scores: np.ndarray, excluded: np.ndarray, n: int) -> np.ndarray:
+    """Top-n items of each row of a (B, m) score block, excluded items left out.
 
-    `train_rows[r]` holds row r's training positives. Each list is in the
-    order (-score, item index) and is shorter than n only when its row has
-    fewer than n other items. NaN scores have no rank and raise ValueError.
+    `excluded` is a (B, m) boolean block. Row r of the (B, n) int64 result
+    is in the order (-score, item index), with -1 in the slots past
+    min(n, m - excluded[r].sum()). NaN scores have no rank and raise ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or len(train_rows) != len(scores):
-        raise ValueError("scores must be a (B, m) block with one training row per row")
+    excluded = np.asarray(excluded, dtype=bool)
+    if scores.ndim != 2 or excluded.shape != scores.shape:
+        raise ValueError("scores and excluded must be (B, m) blocks of one shape")
     if np.isnan(scores).any():
         raise ValueError("scores contain NaN")
     b, m = scores.shape
-    excluded = np.zeros((b, m), dtype=bool)
-    for r, train_row in enumerate(train_rows):
-        excluded[r, np.asarray(train_row, dtype=np.int64)] = True
     masked = np.where(excluded, -np.inf, scores)
     # each row's n-th largest masked score; every unmasked item at or above
     # it is a candidate, so all ties at the cut reach the sort
@@ -48,10 +48,13 @@ def rank_top_n(scores: np.ndarray, train_rows, n: int) -> list[np.ndarray]:
     nth = masked[np.arange(b), np.argpartition(masked, cut, axis=1)[:, cut]]
     cand_r, cand_i = np.nonzero(~excluded & (scores >= nth[:, None]))
     order = np.lexsort((cand_i, -scores[cand_r, cand_i], cand_r))
-    counts = np.bincount(cand_r, minlength=b)
-    lengths = np.minimum(n, m - excluded.sum(axis=1))
-    return [cand_i[order[start:start + length]]
-            for start, length in zip(np.cumsum(counts) - counts, lengths)]
+    # the sort keeps the ascending cand_r in place, so a candidate's slot is
+    # its distance from its row's first candidate
+    slot = np.arange(len(cand_r)) - np.searchsorted(cand_r, cand_r)
+    listed = slot < n
+    top = np.full((b, n), -1, dtype=np.int64)
+    top[cand_r[listed], slot[listed]] = cand_i[order][listed]
+    return top
 
 
 def _check_kernel_args(hits, test_counts, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -95,20 +98,12 @@ def ndcg(hits, test_counts, n: int) -> np.ndarray:
     return dcg / np.cumsum(discount)[np.minimum(n, test_counts) - 1]
 
 
-def _hit_matrix(ranked: list[np.ndarray], users: np.ndarray, test_keys: np.ndarray,
-                m: int, n: int) -> np.ndarray:
-    """(len(users), n) block: whether slot j of users[r]'s list holds a test item.
-
-    `test_keys` are the sorted keys u*m + i of the test pairs; slots past
-    the end of a short list are never hits.
-    """
-    lengths = np.array([len(items) for items in ranked], dtype=np.int64)
-    filled = np.arange(n) < lengths[:, None]
-    keys = np.zeros((len(users), n), dtype=np.int64)
-    keys[filled] = np.concatenate(ranked)
-    keys += users[:, None] * m
-    at = np.minimum(np.searchsorted(test_keys, keys), len(test_keys) - 1)
-    return filled & (test_keys[at] == keys)
+def _row_mask(data: SparseInteractions, users: np.ndarray) -> np.ndarray:
+    """(len(users), m) block marking the rated items of each of `users`."""
+    owner, cols = data.rows(users, "rating")
+    mask = np.zeros((len(users), data.m), dtype=bool)
+    mask[owner, cols] = True
+    return mask
 
 
 @dataclass
@@ -179,14 +174,13 @@ def evaluate_fold(score_fn: Callable[[np.ndarray], np.ndarray], train: SparseInt
     """
     test_counts = test.counts("rating")
     users = np.flatnonzero(test_counts)
-    owner, items = test.rows(users, "rating")
-    test_keys = users[owner] * train.m + items   # sorted: users ascend, rows are sorted
     block = max(1, SCORE_BLOCK_ENTRIES // train.m)
     aps, ndcgs = [np.empty(0)], [np.empty(0)]
     for start in range(0, len(users), block):
         chunk = users[start:start + block]
-        ranked = rank_top_n(score_fn(chunk), [train.row(u, "rating") for u in chunk], top_n)
-        hits = _hit_matrix(ranked, chunk, test_keys, train.m, top_n)
+        top = rank_top_n(score_fn(chunk), _row_mask(train, chunk), top_n)
+        # a -1 slot past the end of a short list reads column m - 1: never a hit
+        hits = (top >= 0) & np.take_along_axis(_row_mask(test, chunk), top, axis=1)
         aps.append(average_precision(hits, test_counts[chunk], top_n))
         ndcgs.append(ndcg(hits, test_counts[chunk], top_n))
     return FoldMetrics(top_n=top_n, users=users,

@@ -220,10 +220,7 @@ def corrupt(indices: np.ndarray, q: float,
     consumption a function of the row length alone.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    draws = rng.random(len(indices))
-    if q == 0.0:
-        return Row(indices, 1.0), np.ones(len(indices), dtype=bool)
-    keep = draws >= q
+    keep = rng.random(len(indices)) >= q
     return Row(indices[keep], 1.0 / (1.0 - q)), keep
 
 

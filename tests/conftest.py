@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import trustdae as td
-from trustdae import baselines, metrics, synth
-from trustdae.cli import fold_seed
+from trustdae import synth
+from trustdae.cli import ExperimentConfig, run_cross_validation
 
 
 @pytest.fixture(scope="session")
@@ -16,33 +16,17 @@ def block_ds():
 def synth_runner(block_ds):
     """Cached 5-fold cross-validation on the block dataset.
 
-    Returns fold MAP@10 values for (variant, seed); mirrors cmd_run's
-    seeding (the experiment seed drives both the split and the per-fold
-    training streams).
+    Returns fold MAP@10 values for (variant, seed) from the shipped
+    `run_cross_validation`, with the experiment seed driving both the split
+    and the per-fold training streams.
     """
     cache = {}
 
     def run(variant, seed):
         key = (variant, seed)
-        if key in cache:
-            return cache[key]
-        split = td.split_folds(block_ds, 5, seed=seed)
-        vals = []
-        for fold in range(5):
-            train_set, test_set = td.materialize_split(block_ds, split, fold)
-            if variant == "pop":
-                model = baselines.pop_fit(train_set)
-                score_fn = lambda users: baselines.pop_scores(model, users)  # noqa: E731
-            else:
-                hp = baselines.ablation_config(
-                    td.Hyperparams(latent_dim=10, epochs=50, seed=seed), variant)
-                hp = hp.replace(seed=fold_seed(seed, fold))
-                params, _ = td.train(train_set, hp)
-                score_fn = lambda users, _p=params, _a=hp.alpha: td.predict_scores(  # noqa: E731
-                    _p, train_set, users, _a)
-            fm = metrics.evaluate_fold(score_fn, train_set, test_set, 10)
-            vals.append(fm.map_at_n)
-        cache[key] = np.array(vals)
+        if key not in cache:
+            _, folds = run_cross_validation(block_ds, ExperimentConfig(variant=variant, seed=seed))
+            cache[key] = np.array([fm.map_at_n for fm in folds])
         return cache[key]
 
     return run
@@ -80,3 +64,24 @@ def ap_one(items, test, n):
 def ndcg_one(items, test, n):
     """`ndcg` of a single ranked list."""
     return float(td.ndcg(*one_row_hits(items, test, n), n)[0])
+
+
+def exclusion_mask(rows, m):
+    """(len(rows), m) block marking the items listed in each of `rows`."""
+    mask = np.zeros((len(rows), m), dtype=bool)
+    for r, row in enumerate(rows):
+        mask[r, np.asarray(row, dtype=np.int64)] = True
+    return mask
+
+
+def rank_rows(scores, rows, n):
+    """`rank_top_n` with row r's excluded items listed in rows[r]; returns
+    each row's list with the -1 padding stripped."""
+    scores = np.asarray(scores)
+    top = td.rank_top_n(scores, exclusion_mask(rows, scores.shape[1]), n)
+    return [row[row >= 0] for row in top]
+
+
+def rank_one(scores, excluded, n):
+    """`rank_rows` on a block of one row."""
+    return rank_rows(np.asarray(scores)[None, :], [excluded], n)[0]

@@ -12,7 +12,7 @@ import trustdae as td
 from trustdae import cli, synth
 from trustdae.gradcheck import run_suite
 import bruteforce
-from conftest import ap_one, make_tiny_store, ndcg_one
+from conftest import ap_one, make_tiny_store, ndcg_one, rank_one
 
 
 def _report(num, name, ok, detail=""):
@@ -42,7 +42,7 @@ def test_2_metric_oracle():
         rest = np.setdiff1d(np.arange(m), train)
         test = set(rng.choice(rest, size=rng.integers(1, len(rest) + 1),
                               replace=False).tolist())
-        ranked = td.rank_top_n(scores[None, :], [train], 10)[0]
+        ranked = rank_one(scores, train, 10)
         if ap_one(ranked, test, 10) != bruteforce.ap_at_n(ranked.tolist(), test, 10):
             mismatches += 1
         if ndcg_one(ranked, test, 10) != bruteforce.ndcg_at_n(ranked.tolist(), test, 10):
@@ -153,7 +153,7 @@ def test_8_invariance_checks():
         m = int(rng.integers(15, 50))
         scores = rng.random(m)
         train = rng.choice(m, size=rng.integers(1, m - 10), replace=False)
-        ranked = td.rank_top_n(scores[None, :], [train], 10)[0]
+        ranked = rank_one(scores, train, 10)
         if set(ranked.tolist()) & set(train.tolist()):
             leaked += 1
 

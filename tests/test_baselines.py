@@ -5,7 +5,7 @@ import trustdae as td
 from trustdae.baselines import ablation_config, pop_fit, pop_scores
 
 import bruteforce
-from conftest import make_tiny_store
+from conftest import make_tiny_store, rank_one, rank_rows
 
 
 class TestPop:
@@ -26,20 +26,20 @@ class TestPop:
     def test_exclusion_personalizes_lists(self):
         s = td.SparseInteractions(2, 4, [(0, 0), (0, 1), (1, 2), (1, 3)], [])
         model = pop_fit(s)
-        top0, top1 = td.rank_top_n(pop_scores(model, [0, 1]), [s.row(0), s.row(1)], 2)
+        top0, top1 = rank_rows(pop_scores(model, [0, 1]), [s.row(0), s.row(1)], 2)
         assert set(top0.tolist()) == {2, 3}
         assert set(top1.tolist()) == {0, 1}
 
     def test_most_popular_non_training_first(self):
         s = td.SparseInteractions(4, 4, [(0, 1), (1, 1), (2, 1), (0, 3), (3, 0)], [])
         model = pop_fit(s)
-        assert td.rank_top_n(pop_scores(model, [3]), [s.row(3)], 1)[0].tolist() == [1]
+        assert rank_one(pop_scores(model, [3])[0], s.row(3), 1).tolist() == [1]
 
     def test_all_zero_ties_by_index(self):
         s = td.SparseInteractions(2, 5, [(0, 4)], [])
         model = pop_fit(s)
         empty = pop_scores(model, [1]) * 0
-        assert td.rank_top_n(empty, [[]], 3)[0].tolist() == [0, 1, 2]
+        assert rank_rows(empty, [[]], 3)[0].tolist() == [0, 1, 2]
 
     def test_map_matches_bruteforce(self, block_ds):
         split = td.split_folds(block_ds, 5, seed=4)

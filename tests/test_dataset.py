@@ -97,6 +97,13 @@ class TestBinarizeAndFilter:
         item_index = {ext: k for k, ext in enumerate(ds.item_ids)}
         assert "5" not in user_index and "x" not in item_index
         assert ds.n == 4 and ds.m == 4
+        # dropping x leaves A's first surviving pair behind B's: dense ids
+        # follow first appearance among the surviving pairs, not among all
+        # positives
+        raw = ratings_of(("A", "x", 5), ("B", "y", 5), ("B", "z", 5),
+                         ("A", "y", 5), ("A", "z", 5))
+        ds = binarize_and_filter(raw, trusts_of(), min_count=2)
+        assert ds.user_ids == ["B", "A"] and ds.item_ids == ["y", "z"]
 
     def test_trust_restricted_and_cleaned(self):
         raw = ratings_of(*[(u, i, 5) for u in range(3) for i in range(3)])

@@ -11,12 +11,7 @@ from trustdae.metrics import (BucketStats, aggregate_folds, bucket_by_degree,
                               ci95_half_width, evaluate_fold, FoldMetrics)
 
 import bruteforce
-from conftest import ap_one, ndcg_one
-
-
-def rank_one(scores, train, n):
-    """`rank_top_n` on a block of one row."""
-    return td.rank_top_n(np.asarray(scores)[None, :], [train], n)[0]
+from conftest import ap_one, exclusion_mask, ndcg_one, rank_one, rank_rows
 
 
 class TestRankTopN:
@@ -57,7 +52,12 @@ class TestRankTopN:
         scores = np.ones((3, 5))
         scores[bad_row, 4] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            td.rank_top_n(scores, [[], [1], [2]], 2)
+            rank_rows(scores, [[], [1], [2]], 2)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 5), (5,)])
+    def test_mask_shape_mismatch_rejected(self, shape):
+        with pytest.raises(ValueError, match="one shape"):
+            td.rank_top_n(np.ones((3, 5)), np.zeros(shape, dtype=bool), 2)
 
     def test_logits_above_sigmoid_saturation_stay_apart(self):
         # both logits are 1.0 after sigmoid, where a probability ranking
@@ -78,11 +78,13 @@ class TestRankTopN:
         scores[rng.random((b, m)) < 0.05] = np.inf
         train = [rng.integers(0, m, size=rng.integers(0, m + 2)) for _ in range(b)]
         before = scores.copy()
-        ranked = td.rank_top_n(scores, train, n)
+        top = td.rank_top_n(scores, exclusion_mask(train, m), n)
         assert np.array_equal(scores, before)
-        assert len(ranked) == b
+        assert top.shape == (b, n) and top.dtype == np.int64
         for r in range(b):
-            assert ranked[r].tolist() == bruteforce.rank_by_score(
+            length = min(n, m - len(set(train[r].tolist())))
+            assert (top[r, length:] == -1).all()
+            assert top[r, :length].tolist() == bruteforce.rank_by_score(
                 scores[r].tolist(), set(train[r].tolist()), n)
 
 
@@ -214,12 +216,15 @@ class TestBlockKernels:
 class TestEvaluateFold:
     def test_short_lists_match_bruteforce(self):
         # m < top_n leaves every list short; item 0 is a test item of users
-        # whose lists end before the padded slots, which must not count as hits
+        # whose lists end before the padded slots, which must not count as hits.
+        # A padded slot holds -1, which indexes item m - 1, so user 2 also has
+        # a test item there
         n, m = 6, 5
         rng = np.random.default_rng(4)
         train_pairs = [(u, i) for u in range(n) for i in range(1, m) if rng.random() < 0.4]
-        test_pairs = [(u, 0) for u in range(n) if u % 2] + [(2, 1), (4, 3)]
+        test_pairs = [(u, 0) for u in range(n) if u % 2] + [(2, 1), (2, m - 1), (4, 3)]
         test_pairs = [p for p in test_pairs if p not in train_pairs]
+        assert (2, m - 1) in test_pairs
         train = td.SparseInteractions(n, m, train_pairs, [])
         test = td.SparseInteractions(n, m, test_pairs, [])
         scores = rng.random((n, m))
