@@ -96,12 +96,24 @@ def load_raw(ratings_path, trusts_path) -> tuple[np.ndarray, np.ndarray]:
         except ValueError:
             raise ParseError(f"{ratings_path}:{lineno}: score {score!r} is not an integer") from None
         if not 1 <= value <= 5:
-            raise ParseError(f"{ratings_path}:{lineno}: score out of range at line {lineno}")
+            raise ParseError(f"{ratings_path}:{lineno}: score {value} out of range [1, 5]")
         cells += (user, item, value)
     ratings = np.array(cells, dtype=object).reshape(-1, 3)
     del cells   # not kept alive while the trust file is parsed
     trusts = [field for _, parts in _rows(trusts_path, 2) for field in parts]
     return ratings, np.array(trusts, dtype=object).reshape(-1, 2)
+
+
+def _factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Code each value by its first appearance, in one dict pass.
+
+    Returns the distinct values in first-appearance order and the code of
+    every value. Nothing is sorted, so ids compare as exact Python strings.
+    """
+    index: dict = {}
+    codes = np.fromiter((index.setdefault(v, len(index)) for v in values.tolist()),
+                        dtype=np.int64, count=len(values))
+    return np.array(list(index), dtype=object), codes
 
 
 def _dense_ids(codes: np.ndarray, names: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -127,19 +139,20 @@ def binarize_and_filter(ratings: np.ndarray, trusts: np.ndarray,
                         min_count: int = 5) -> Dataset:
     """Keep ratings >= 4 as positives and drop thin users/items to a fixed point.
 
-    Takes the arrays `load_raw` returns. A repeated (user, item) positive
-    keeps its first occurrence. Dropping a user can push an item below the
-    threshold and vice versa, so the filter iterates until no row or column
-    changes. Trust edges lose self-loops and repeats (the first occurrence
-    stays) and are restricted to surviving users.
+    Takes the arrays `load_raw` returns. Ids are factorized by first
+    appearance in one dict pass, so no string is sorted and ids compare as
+    exact strings. A repeated (user, item) positive keeps its first
+    occurrence. Dropping a user can push an item below the threshold and
+    vice versa, so the filter iterates until no row or column changes.
+    Trust edges lose self-loops and repeats (the first occurrence stays)
+    and are restricted to surviving users.
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     pos = ratings[ratings[:, 2].astype(np.int64) >= 4]
     # rating users and trust endpoints share one code space
-    names, codes = np.unique(np.concatenate([pos[:, 0], trusts.ravel()]),
-                             return_inverse=True)
-    item_names, items = np.unique(pos[:, 1], return_inverse=True)
+    names, codes = _factorize(np.concatenate([pos[:, 0], trusts.ravel()]))
+    item_names, items = _factorize(pos[:, 1])
     users = codes[:len(pos)]
     keep = _first_occurrences(users, items, len(item_names))
     users, items = users[keep], items[keep]
@@ -200,7 +213,14 @@ def materialize_split(ds: Dataset, split: FoldSplit,
 
 
 def save_cache(ds: Dataset, path) -> None:
-    """Write the canonical binary cache; byte-identical for identical datasets."""
+    """Write the canonical binary cache; byte-identical for identical datasets.
+
+    Ids are stored newline-separated, so an id holding a newline is rejected.
+    """
+    for ids in (ds.user_ids, ds.item_ids):
+        bad = next((i for i in ids if "\n" in i), None)
+        if bad is not None:
+            raise DatasetError(f"id {bad!r} holds a newline, which the cache cannot store")
     users = "\n".join(ds.user_ids).encode("utf-8")
     items = "\n".join(ds.item_ids).encode("utf-8")
     with open(path, "wb") as fh:
@@ -226,8 +246,11 @@ def load_cache(path) -> Dataset:
             return fh.read(size)
 
         n, m, n_r, n_t, ul, il = struct.unpack("<6Q", read(48, "header"))
-        user_ids = read(ul, "user ids").decode("utf-8").split("\n") if ul else []
-        item_ids = read(il, "item ids").decode("utf-8").split("\n") if il else []
+        # the counts, not the blob sizes, tell no ids from one empty id
+        users = read(ul, "user ids").decode("utf-8")
+        items = read(il, "item ids").decode("utf-8")
+        user_ids = users.split("\n") if n or users else []
+        item_ids = items.split("\n") if m or items else []
         ratings = np.frombuffer(read(16 * n_r, "ratings"), dtype="<i8").reshape(n_r, 2).astype(np.int64)
         trusts = np.frombuffer(read(16 * n_t, "trusts"), dtype="<i8").reshape(n_t, 2).astype(np.int64)
     if len(user_ids) != n or len(item_ids) != m:

@@ -29,7 +29,7 @@ class TestLoadRaw:
     def test_score_out_of_range(self, tmp_path):
         r = write(tmp_path / "r.txt", "12 7 5\n12 7 9\n")
         t = write(tmp_path / "t.txt", "")
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ParseError, match=r"r\.txt:2: score 9 "):
             load_raw(r, t)
 
     def test_non_integer_score(self, tmp_path):
@@ -118,6 +118,14 @@ class TestBinarizeAndFilter:
         ds = binarize_and_filter(raw, trusts_of(), min_count=2)
         assert len(ds.ratings) == 4
 
+    def test_ids_differing_by_trailing_nul_stay_apart(self):
+        # a fixed-width 'U' array drops trailing NULs and would merge the two
+        raw = ratings_of(*[(u, i, 5) for u in ("a", "a\x00") for i in range(2)])
+        ds = binarize_and_filter(raw, trusts_of(("a\x00", "a")), min_count=2)
+        assert ds.user_ids == ["a", "a\x00"]
+        assert ds.ratings.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        assert ds.trusts.tolist() == [[1, 0]]
+
     def test_empty_after_filter(self):
         with pytest.raises(DatasetError):
             binarize_and_filter(ratings_of((1, 2, 5)), trusts_of(), min_count=5)
@@ -150,8 +158,9 @@ class TestBinarizeAndFilter:
 
 
 # ids that sort differently as strings and as numbers, or only differ by a
-# leading zero, so any numeric reading of an id shows up as a mismatch
-IDS = ["0", "1", "01", "10", "2", "a"]
+# leading zero, so any numeric reading of an id shows up as a mismatch; a
+# trailing NUL and a non-ASCII id catch any fixed-width string array
+IDS = ["0", "1", "01", "10", "2", "a", "a\x00", "é"]
 
 
 @st.composite
@@ -281,6 +290,25 @@ class TestCache:
         save_cache(block_ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert cache_sha256(p1) == cache_sha256(p2)
+
+    def test_newline_in_id_fails_on_write(self, tmp_path):
+        ds = Dataset(n=2, m=1, ratings=np.array([[0, 0], [1, 0]], dtype=np.int64),
+                     trusts=np.empty((0, 2), dtype=np.int64),
+                     user_ids=["a\nb", "c"], item_ids=["x"])
+        path = tmp_path / "ds.cache"
+        with pytest.raises(DatasetError, match=re.escape("'a\\nb'")):
+            save_cache(ds, path)
+        assert not path.exists()
+
+    def test_lone_empty_id_roundtrips(self, tmp_path):
+        ds = Dataset(n=1, m=1, ratings=np.array([[0, 0]], dtype=np.int64),
+                     trusts=np.empty((0, 2), dtype=np.int64),
+                     user_ids=[""], item_ids=[""])
+        path = tmp_path / "ds.cache"
+        save_cache(ds, path)
+        back = load_cache(path)
+        assert back.user_ids == [""] and back.item_ids == [""]
+        assert back.ratings.tolist() == [[0, 0]]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk"
