@@ -72,14 +72,38 @@ def _open_text(path):
 
 def _rows(path, width: int):
     """Yield (line number, fields) for each nonblank line; fields split on whitespace or commas."""
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.replace(",", " ").split()
-            if not parts:
-                continue
-            if len(parts) != width:
-                raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
-            yield lineno, parts
+    try:
+        with _open_text(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.replace(",", " ").split()
+                if not parts:
+                    continue
+                if len(parts) != width:
+                    raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
+                yield lineno, parts
+    except UnicodeDecodeError:
+        # text mode decodes ahead in chunks, so the line count read so far
+        # is not the bad line's number; find it again in binary
+        raise ParseError(f"{path}:{_undecodable_line(path)}: not valid UTF-8") from None
+
+
+def _undecodable_line(path) -> int:
+    """Number of the first line of `path` that is not valid UTF-8.
+
+    Lines end at "\n", "\r\n" or a lone "\r", as in text mode; neither
+    byte occurs inside a UTF-8 multibyte sequence, so splitting the bytes
+    there splits no character.
+    """
+    lineno = 0
+    with (gzip.open if str(path).endswith(".gz") else open)(path, "rb") as fh:
+        for chunk in fh:
+            for line in chunk.replace(b"\r\n", b"\n").split(b"\r"):
+                lineno += 1
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    return lineno
+    return lineno
 
 
 def load_raw(ratings_path, trusts_path) -> tuple[np.ndarray, np.ndarray]:
@@ -246,9 +270,12 @@ def load_cache(path) -> Dataset:
             return fh.read(size)
 
         n, m, n_r, n_t, ul, il = struct.unpack("<6Q", read(48, "header"))
+        user_blob, item_blob = read(ul, "user ids"), read(il, "item ids")
+        try:
+            users, items = user_blob.decode("utf-8"), item_blob.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DatasetError(f"{path}: ids are not valid UTF-8") from None
         # the counts, not the blob sizes, tell no ids from one empty id
-        users = read(ul, "user ids").decode("utf-8")
-        items = read(il, "item ids").decode("utf-8")
         user_ids = users.split("\n") if n or users else []
         item_ids = items.split("\n") if m or items else []
         ratings = np.frombuffer(read(16 * n_r, "ratings"), dtype="<i8").reshape(n_r, 2).astype(np.int64)

@@ -1,8 +1,9 @@
 """Finite-difference verification of the analytic gradients.
 
 Perturbs every parameter entry in turn, recomputes the full per-user loss
-through the forward pass with the corruption pattern and targets held
-fixed, and compares the central difference against the analytic value.
+through the forward pass on the corrupted inputs and targets that one
+forward trace carries, and compares the central difference against the
+analytic value.
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ from .model import Hyperparams, ModelParams, corrupt, forward_sampled, init_para
 from .objective import user_gradients, user_loss
 from .sparse import SparseInteractions
 from .trainer import _user_targets
+
+# central-difference step and the pass rule of `compare`
+FD_STEP = 1e-5
+REL_TOL = 1e-4
+ABS_TOL = 1e-8
 
 # changes to the suite's default setup that take it down each forward/backward
 # path `train` can take: corrupted inputs, the per-user vector, and beta=0
@@ -38,17 +44,19 @@ class GradCheckReport:
         return self.failures == 0
 
 
-def _loss_of(params, hp, rating_in, trust_in, targets_r, targets_t,
-             user, decay_scale) -> float:
-    trace = forward_sampled(params, hp, rating_in, trust_in,
-                            targets_r[0], targets_t[0], user=user)
-    return user_loss(params, hp, trace, targets_r, targets_t, decay_scale).total
+def fd_gradients(params, hp, trace, decay_scale: float = 1.0) -> ModelParams:
+    """Central finite differences of the per-user loss, entry by entry.
 
-
-def fd_gradients(params, hp, rating_in, trust_in, targets_r, targets_t,
-                 user=None, decay_scale: float = 1.0, step: float = 1e-5) -> ModelParams:
-    """Central finite differences of the per-user loss, entry by entry."""
+    Each evaluation reruns the forward pass on the inputs, targets and user
+    that `trace` carries.
+    """
+    sample = (trace.rating_in, trace.trust_in, (trace.rating_idx, trace.rating_y),
+              (trace.trust_idx, trace.trust_y), trace.user)
     work = params.copy()
+
+    def loss() -> float:
+        return user_loss(work, hp, forward_sampled(work, hp, *sample), decay_scale).total
+
     out = {}
     for name, arr in work.tensors():
         g = np.zeros_like(arr)
@@ -56,27 +64,24 @@ def fd_gradients(params, hp, rating_in, trust_in, targets_r, targets_t,
         gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
-            up = _loss_of(work, hp, rating_in, trust_in, targets_r, targets_t,
-                          user, decay_scale)
-            flat[i] = orig - step
-            down = _loss_of(work, hp, rating_in, trust_in, targets_r, targets_t,
-                            user, decay_scale)
+            flat[i] = orig + FD_STEP
+            up = loss()
+            flat[i] = orig - FD_STEP
+            down = loss()
             flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * step)
+            gflat[i] = (up - down) / (2.0 * FD_STEP)
         out[name] = g
     return ModelParams(**out)
 
 
-def compare(analytic: ModelParams, numeric: ModelParams,
-            rel_tol: float = 1e-4, abs_tol: float = 1e-8):
+def compare(analytic: ModelParams, numeric: ModelParams):
     """(max relative error, max absolute error, failure count) over all entries.
 
-    An entry passes when its absolute error is under `abs_tol` or its
-    error relative to the larger magnitude is under `rel_tol`. Below a
-    magnitude of `abs_tol / rel_tol` the absolute rule alone decides, and
-    the relative error there is finite-difference noise, so the reported
-    maximum relative error covers only the entries at or above it.
+    An entry passes when its absolute error is under ABS_TOL or its error
+    relative to the larger magnitude is under REL_TOL. Below a magnitude of
+    ABS_TOL / REL_TOL the absolute rule alone decides, and the relative
+    error there is finite-difference noise, so the reported maximum
+    relative error covers only the entries at or above it.
     """
     max_rel = 0.0
     max_abs = 0.0
@@ -85,65 +90,59 @@ def compare(analytic: ModelParams, numeric: ModelParams,
         diff = np.abs(a - f)
         denom = np.maximum(np.abs(a), np.abs(f))
         rel = diff / np.maximum(denom, 1e-300)
-        max_rel = max(max_rel, float(rel[denom >= abs_tol / rel_tol].max(initial=0.0)))
+        max_rel = max(max_rel, float(rel[denom >= ABS_TOL / REL_TOL].max(initial=0.0)))
         max_abs = max(max_abs, float(diff.max(initial=0.0)))
-        failures += int(np.count_nonzero((diff >= abs_tol) & (rel >= rel_tol)))
+        failures += int(np.count_nonzero((diff >= ABS_TOL) & (rel >= REL_TOL)))
     return max_rel, max_abs, failures
 
 
-def random_instance(n: int, m: int, k: int, hp: Hyperparams, seed: int,
-                    user_embedding: bool = False):
-    """A small random store, params and one user's corrupted pass + targets."""
-    rng = np.random.default_rng(seed)
+def random_store(rng: np.random.Generator) -> SparseInteractions:
+    """A random 8-user, 12-item store: 2-5 ratings and 0-2 trust edges a user."""
+    n, m = 8, 12
     pairs = set()
     for u in range(n):
-        for i in rng.choice(m, size=rng.integers(2, min(6, m)), replace=False):
+        for i in rng.choice(m, size=rng.integers(2, 6), replace=False):
             pairs.add((u, int(i)))
     edges = set()
     for u in range(n):
         for v in rng.choice(n, size=rng.integers(0, 3), replace=False):
             if int(v) != u:
                 edges.add((u, int(v)))
-    store = SparseInteractions(n, m, sorted(pairs), sorted(edges))
-    params = init_params(n, m, k, seed=seed, user_embedding=user_embedding)
-    u = int(rng.integers(0, n))
+    return SparseInteractions(n, m, sorted(pairs), sorted(edges))
 
+
+def random_instance(hp: Hyperparams, seed: int):
+    """(store, params, trace): a random store, params of `hp`'s latent_dim and
+    user_embedding, and one user's corrupted forward pass with its targets."""
+    rng = np.random.default_rng(seed)
+    store = random_store(rng)
+    params = init_params(store.n, store.m, hp.latent_dim, seed=seed,
+                         user_embedding=hp.user_embedding)
+    u = int(rng.integers(0, store.n))
     targets_r, targets_t, pos_r, pos_t = _user_targets(store, u, rng, rng)
-    rating_in, _ = corrupt(pos_r, hp.corruption, rng)
-    trust_in, _ = corrupt(pos_t, hp.corruption, rng)
-    return store, params, u, rating_in, trust_in, targets_r, targets_t
+    rating_in = corrupt(pos_r, hp.corruption, rng)
+    trust_in = corrupt(pos_t, hp.corruption, rng)
+    trace = forward_sampled(params, hp, rating_in, trust_in, targets_r, targets_t, u)
+    return store, params, trace
 
 
-def run_suite(instances: int = 20, n: int = 8, m: int = 12, k: int = 4,
-              hp: Hyperparams | None = None, seed0: int = 0,
-              decay_scale: float = 1.0, step: float = 1e-5,
-              rel_tol: float = 1e-4, abs_tol: float = 1e-8,
-              **changes) -> GradCheckReport:
+def run_suite(instances: int = 20, seed0: int = 0, **changes) -> GradCheckReport:
     """Run the oracle on `instances` random setups and pool the errors.
 
-    The setup is `hp`, by default the shipped settings at latent dimension
-    k without corruption, with any hyperparameter `changes` applied; its
+    The setup is the shipped settings at latent dimension 4 without
+    corruption, with any hyperparameter `changes` applied; its
     `user_embedding` decides whether the instances carry per-user vectors.
     """
-    if hp is None:
-        hp = Hyperparams(latent_dim=k, corruption=0.0)
-    hp = hp.replace(**changes)
+    hp = Hyperparams(latent_dim=4, corruption=0.0).replace(**changes)
     tic = time.perf_counter()
     max_rel = 0.0
     max_abs = 0.0
     failures = 0
     entries = 0
     for j in range(instances):
-        _, params, u, rating_in, trust_in, targets_r, targets_t = random_instance(
-            n, m, k, hp, seed=seed0 + j, user_embedding=hp.user_embedding)
-        trace = forward_sampled(params, hp, rating_in, trust_in,
-                                targets_r[0], targets_t[0], user=u)
-        analytic = user_gradients(params, hp, trace, targets_r, targets_t,
-                                  decay_scale=decay_scale)
-        numeric = fd_gradients(params, hp, rating_in, trust_in, targets_r,
-                               targets_t, user=u, decay_scale=decay_scale,
-                               step=step)
-        rel, ab, fails = compare(analytic, numeric, rel_tol, abs_tol)
+        _, params, trace = random_instance(hp, seed=seed0 + j)
+        analytic = user_gradients(params, hp, trace)
+        rel, ab, fails = compare(analytic, fd_gradients(params, hp, trace))
         max_rel = max(max_rel, rel)
         max_abs = max(max_abs, ab)
         failures += fails

@@ -154,11 +154,12 @@ class Row(NamedTuple):
 
 @dataclass
 class ForwardTrace:
-    """Intermediate activations of one user's pass, kept for backprop.
+    """One user's sample and the activations of its pass, kept for backprop.
 
-    `rating_pred` / `trust_pred`, and the decoder weight rows gathered to
-    compute them, are aligned with the target coordinate arrays handed to
-    the forward pass, not with the full output rows.
+    `rating_y` / `trust_y` are the binary targets at the coordinates
+    `rating_idx` / `trust_idx`. `rating_pred` / `trust_pred`, and the
+    decoder weight rows gathered to compute them, are aligned with those
+    coordinates, not with the full output rows.
     """
 
     rating_in: Row
@@ -168,6 +169,8 @@ class ForwardTrace:
     fused: np.ndarray
     rating_idx: np.ndarray
     trust_idx: np.ndarray
+    rating_y: np.ndarray
+    trust_y: np.ndarray
     rating_pred: np.ndarray
     trust_pred: np.ndarray
     rating_dec_rows: np.ndarray
@@ -211,8 +214,7 @@ def init_params(n: int, m: int, k: int, seed: int,
     )
 
 
-def corrupt(indices: np.ndarray, q: float,
-            rng: np.random.Generator) -> tuple[Row, np.ndarray]:
+def corrupt(indices: np.ndarray, q: float, rng: np.random.Generator) -> Row:
     """Drop each nonzero coordinate with probability q, rescale survivors.
 
     Survivors carry 1/(1-q) so the corrupted row is unbiased. Exactly
@@ -221,7 +223,7 @@ def corrupt(indices: np.ndarray, q: float,
     """
     indices = np.asarray(indices, dtype=np.int64)
     keep = rng.random(len(indices)) >= q
-    return Row(indices[keep], 1.0 / (1.0 - q)), keep
+    return Row(indices[keep], 1.0 / (1.0 - q))
 
 
 def encode(params: ModelParams, rating_row: Row, trust_row: Row,
@@ -262,15 +264,17 @@ def decode_at(params: ModelParams, fused: np.ndarray, item_idx: np.ndarray,
 
 
 def forward_sampled(params: ModelParams, hp: Hyperparams, rating_in: Row,
-                    trust_in: Row, rating_idx: np.ndarray, trust_idx: np.ndarray,
+                    trust_in: Row, targets_r, targets_t,
                     user: int | None = None) -> ForwardTrace:
     """Forward pass materializing outputs only at the target coordinates.
 
-    The one forward pass of training, the epoch loss and the gradient
-    check. The inputs are taken as given (already corrupted or clean);
-    this function is deterministic, which is what the finite-difference
-    check relies on.
+    The one forward pass of training and the gradient check.
+    `targets_r` / `targets_t` are (indices, binary targets) pairs; the
+    trace carries them, so the loss and backprop read them from it. The
+    inputs are taken as given (already corrupted or clean); this function
+    is deterministic, which is what the finite-difference check relies on.
     """
+    (rating_idx, rating_y), (trust_idx, trust_y) = targets_r, targets_t
     z_rating, z_trust = encode(params, rating_in, trust_in, user)
     fused = fuse(z_rating, z_trust, hp.alpha)
     rating_pred, trust_pred, rating_rows, trust_rows = decode_at(
@@ -278,6 +282,7 @@ def forward_sampled(params: ModelParams, hp: Hyperparams, rating_in: Row,
     return ForwardTrace(rating_in=rating_in, trust_in=trust_in,
                         z_rating=z_rating, z_trust=z_trust, fused=fused,
                         rating_idx=rating_idx, trust_idx=trust_idx,
+                        rating_y=rating_y, trust_y=trust_y,
                         rating_pred=rating_pred, trust_pred=trust_pred,
                         rating_dec_rows=rating_rows, trust_dec_rows=trust_rows,
                         user=user)
@@ -371,7 +376,8 @@ def _check_tensors(path, tensors: dict[str, np.ndarray], hp: Hyperparams) -> Non
 def load_checkpoint(path) -> tuple[ModelParams, Hyperparams]:
     """Read a checkpoint written by `save_checkpoint`.
 
-    Truncated files, a tensor set that does not match `user_embedding`, and
+    Truncated files, a header that is not UTF-8 JSON or lacks a key, bad
+    hyperparameters, a tensor set that does not match `user_embedding`, and
     tensors that disagree on n, m or k (k = `latent_dim`) raise ValueError
     naming the file.
     """
@@ -386,12 +392,21 @@ def load_checkpoint(path) -> tuple[ModelParams, Hyperparams]:
             return fh.read(size)
 
         (blob_len,) = struct.unpack("<Q", read(8, "header"))
-        header = json.loads(read(blob_len, "header").decode("utf-8"))
+        blob = read(blob_len, "header")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+            specs, settings = header["tensors"], header["hyperparams"]
+        except (ValueError, KeyError, TypeError) as exc:   # ValueError: not UTF-8 JSON
+            raise ValueError(f"{path}: bad checkpoint header "
+                             f"({type(exc).__name__}: {exc})") from None
         kw = {}
-        for name, shape in header["tensors"]:
+        for name, shape in specs:
             count = int(np.prod(shape))
             arr = np.frombuffer(read(8 * count, f"tensor {name}"), dtype="<f8").reshape(shape)
             kw[name] = arr.astype(np.float64)
-    hp = Hyperparams(**header["hyperparams"])
+    try:
+        hp = Hyperparams(**settings)
+    except (TypeError, ValueError) as exc:   # an unknown name or a value out of range
+        raise ValueError(f"{path}: bad hyperparameters ({exc})") from None
     _check_tensors(path, kw, hp)
     return ModelParams(**kw), hp

@@ -62,24 +62,11 @@ def loss_breakdown(hp: Hyperparams, rating_recon: float, trust_recon: float,
     return LossBreakdown(rating_recon, trust_recon, corr, wd, md, total)
 
 
-def _check_targets(trace: ForwardTrace, targets_r, targets_t):
-    """Binary targets of both views, once they match the traced coordinates."""
-    (idx_r, y_r), (idx_t, y_t) = targets_r, targets_t
-    if len(idx_r) != len(trace.rating_idx) or len(idx_t) != len(trace.trust_idx):
-        raise ValueError("targets do not match the traced forward pass")
-    return np.asarray(y_r, dtype=np.float64), np.asarray(y_t, dtype=np.float64)
-
-
 def user_loss(params: ModelParams, hp: Hyperparams, trace: ForwardTrace,
-              targets_r, targets_t, decay_scale: float = 1.0) -> LossBreakdown:
-    """Loss of one user over their sampled coordinate sets.
-
-    `targets_r` / `targets_t` are (indices, binary targets) pairs aligned
-    with the coordinates the trace was evaluated at.
-    """
-    y_r, y_t = _check_targets(trace, targets_r, targets_t)
-    rating_recon = float(logistic_loss(y_r, trace.rating_pred).sum())
-    trust_recon = float(logistic_loss(y_t, trace.trust_pred).sum())
+              decay_scale: float = 1.0) -> LossBreakdown:
+    """Loss of one user over the sampled coordinates and targets of `trace`."""
+    rating_recon = float(logistic_loss(trace.rating_y, trace.rating_pred).sum())
+    trust_recon = float(logistic_loss(trace.trust_y, trace.trust_pred).sum())
     corr = correlative_term(trace.z_rating, trace.z_trust,
                             params.map_trust_to_rating, params.map_rating_to_trust)
     wd, md = params.decay_norms()
@@ -87,8 +74,8 @@ def user_loss(params: ModelParams, hp: Hyperparams, trace: ForwardTrace,
                           decay_scale * wd, decay_scale * md)
 
 
-def backprop_core(params, hp: Hyperparams, trace: ForwardTrace,
-                  targets_r, targets_t) -> list[tuple[str, object, np.ndarray]]:
+def backprop_core(params, hp: Hyperparams,
+                  trace: ForwardTrace) -> list[tuple[str, object, np.ndarray]]:
     """Data gradient of one user's reconstruction + cross-view loss.
 
     The one backward pass of training and the gradient check. Decay is
@@ -100,9 +87,8 @@ def backprop_core(params, hp: Hyperparams, trace: ForwardTrace,
     distinct (observed and sampled sets are disjoint by construction),
     otherwise the row updates would collide.
     """
-    y_r, y_t = _check_targets(trace, targets_r, targets_t)
-    e_r = trace.rating_pred - y_r
-    e_t = trace.trust_pred - y_t
+    e_r = trace.rating_pred - trace.rating_y
+    e_t = trace.trust_pred - trace.trust_y
     z_r, z_t, fused = trace.z_rating, trace.z_trust, trace.fused
     g_fused = trace.rating_dec_rows.T @ e_r + trace.trust_dec_rows.T @ e_t
 
@@ -142,13 +128,13 @@ def backprop_core(params, hp: Hyperparams, trace: ForwardTrace,
 
 
 def user_gradients(params: ModelParams, hp: Hyperparams, trace: ForwardTrace,
-                   targets_r, targets_t, decay_scale: float = 1.0) -> ModelParams:
+                   decay_scale: float = 1.0) -> ModelParams:
     """Dense exact gradient of `user_loss`, one array per model tensor."""
     lam_w = decay_scale * hp.weight_decay
     lam_m = decay_scale * hp.map_decay
     grads = ModelParams(**{name: (lam_m if name in MAP_TENSORS else lam_w) * arr
                            for name, arr in params.tensors()})
-    for name, rows, vals in backprop_core(params, hp, trace, targets_r, targets_t):
+    for name, rows, vals in backprop_core(params, hp, trace):
         getattr(grads, name)[rows] += vals
     for name, arr in grads.tensors():
         if not np.isfinite(arr).all():

@@ -143,14 +143,13 @@ def _user_step(store: _ScaledParams, hp: Hyperparams, n: int, u: int, rating_in:
 
     Returns the (rating, trust, cross-view) loss terms before the step.
     """
-    trace = forward_sampled(store, hp, rating_in, trust_in,
-                            targets_r[0], targets_t[0], user=u)
-    rating_u = float(logistic_loss(targets_r[1], trace.rating_pred).sum())
-    trust_u = float(logistic_loss(targets_t[1], trace.trust_pred).sum())
+    trace = forward_sampled(store, hp, rating_in, trust_in, targets_r, targets_t, u)
+    rating_u = float(logistic_loss(trace.rating_y, trace.rating_pred).sum())
+    trust_u = float(logistic_loss(trace.trust_y, trace.trust_pred).sum())
     corr_u = correlative_term(trace.z_rating, trace.z_trust,
                               store.map_trust_to_rating[...],
                               store.map_rating_to_trust[...])
-    pieces = backprop_core(store, hp, trace, targets_r, targets_t)
+    pieces = backprop_core(store, hp, trace)
     decay_w = 1.0 - hp.lr * hp.weight_decay / n
     decay_m = 1.0 - hp.lr * hp.map_decay / n
     for name, s in store.tensors():
@@ -191,8 +190,8 @@ def train(train_data: SparseInteractions, hp: Hyperparams,
                 stream(hp.seed, _ITEM_NEG, epoch, u),
                 stream(hp.seed, _USER_NEG, epoch, u))
             rng_c = stream(hp.seed, _CORRUPT, epoch, u)
-            rating_in, _ = corrupt(pos_r, hp.corruption, rng_c)
-            trust_in, _ = corrupt(pos_t, hp.corruption, rng_c)
+            rating_in = corrupt(pos_r, hp.corruption, rng_c)
+            trust_in = corrupt(pos_t, hp.corruption, rng_c)
             rating_u, trust_u, corr_u = _user_step(
                 scaled, hp, n, u, rating_in, trust_in, targets_r, targets_t)
             if not np.isfinite(rating_u + trust_u + corr_u):

@@ -4,6 +4,7 @@ import pytest
 import trustdae as td
 from trustdae import synth
 from trustdae.cli import ExperimentConfig, run_cross_validation
+from trustdae.gradcheck import random_store
 
 
 @pytest.fixture(scope="session")
@@ -32,19 +33,9 @@ def synth_runner(block_ds):
     return run
 
 
-def make_tiny_store(seed=0, n=8, m=12):
+def make_tiny_store(seed=0):
     """Small random interaction store for unit tests."""
-    rng = np.random.default_rng(seed)
-    pairs = set()
-    for u in range(n):
-        for i in rng.choice(m, size=rng.integers(2, 6), replace=False):
-            pairs.add((u, int(i)))
-    edges = set()
-    for u in range(n):
-        for v in rng.choice(n, size=rng.integers(0, 3), replace=False):
-            if int(v) != u:
-                edges.add((u, int(v)))
-    return td.SparseInteractions(n, m, sorted(pairs), sorted(edges))
+    return random_store(np.random.default_rng(seed))
 
 
 def one_row_hits(items, test, n):

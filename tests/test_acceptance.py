@@ -9,8 +9,7 @@ import time
 import numpy as np
 
 import trustdae as td
-from trustdae import cli, synth
-from trustdae.gradcheck import run_suite
+from trustdae import cli, gradcheck, synth
 import bruteforce
 from conftest import ap_one, make_tiny_store, ndcg_one, rank_one
 
@@ -21,11 +20,10 @@ def _report(num, name, ok, detail=""):
 
 
 def test_1_gradient_oracle():
-    report = run_suite(instances=20, n=8, m=12, k=4,
-                       hp=td.Hyperparams(latent_dim=4, alpha=0.8, beta=0.01,
-                                         corruption=0.0, weight_decay=0.01,
-                                         map_decay=0.01),
-                       seed0=0, step=1e-5, rel_tol=1e-4, abs_tol=1e-8)
+    assert (gradcheck.FD_STEP, gradcheck.REL_TOL, gradcheck.ABS_TOL) == (1e-5, 1e-4, 1e-8)
+    report = gradcheck.run_suite(instances=20, seed0=0, latent_dim=4, alpha=0.8,
+                                 beta=0.01, corruption=0.0, weight_decay=0.01,
+                                 map_decay=0.01)
     detail = (f"entries={report.entries} max_rel={report.max_rel_err:.2e} "
               f"max_abs={report.max_abs_err:.2e} elapsed={report.elapsed:.2f}s")
     _report(1, "gradient oracle", report.ok and report.elapsed < 10.0, detail)
@@ -61,7 +59,7 @@ def test_2_metric_oracle():
 
 def test_3_corruption_statistics():
     idx = np.arange(100_000)
-    row, mask = td.corrupt(idx, 0.2, np.random.default_rng(12345))
+    row = td.corrupt(idx, 0.2, np.random.default_rng(12345))
     drop = 1.0 - len(row.indices) / len(idx)
     survivors_exact = row.value == 1.25
     mean = row.value * len(row.indices) / len(idx)

@@ -62,6 +62,26 @@ class TestLoadRaw:
         ratings, _ = load_raw(str(r), t)
         assert ratings.tolist() == [["1", "2", 5]]
 
+    @pytest.mark.parametrize("name,opener", [("r.txt", open), ("r.txt.gz", gzip.open)],
+                             ids=["plain", "gzip"])
+    def test_not_utf8_names_its_line(self, tmp_path, name, opener):
+        # text mode decodes 8 KiB at a time, so the error surfaces lines
+        # before or after the bad one; the message must name the bad line
+        lines = [b"%d %d 5\n" % (i, i) for i in range(2000)]
+        lines[1500] = b"u\xff 1 5\n"
+        with opener(tmp_path / name, "wb") as fh:
+            fh.write(b"".join(lines))
+        t = write(tmp_path / "t.txt", "")
+        with pytest.raises(ParseError, match=rf"{re.escape(name)}:1501: not valid UTF-8"):
+            load_raw(str(tmp_path / name), t)
+
+    def test_not_utf8_counts_lines_as_text_mode(self, tmp_path):
+        r = write(tmp_path / "r.txt", "1 2 5\n")
+        t = tmp_path / "t.txt"
+        t.write_bytes(b"a b\rc d\r\ne f\r\xff g\n")
+        with pytest.raises(ParseError, match=r"t\.txt:4: not valid UTF-8"):
+            load_raw(r, str(t))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_raw(str(tmp_path / "nope"), str(tmp_path / "nope2"))
@@ -322,6 +342,18 @@ class TestCache:
         save_cache(block_ds, path)
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(DatasetError, match="truncated"):
+            load_cache(path)
+
+    def test_ids_not_utf8(self, tmp_path):
+        ds = Dataset(n=1, m=1, ratings=np.array([[0, 0]], dtype=np.int64),
+                     trusts=np.empty((0, 2), dtype=np.int64),
+                     user_ids=["a"], item_ids=["x"])
+        path = tmp_path / "ds.cache"
+        save_cache(ds, path)
+        data = bytearray(path.read_bytes())
+        data[8 + 48] = 0xff   # the first user-id byte, after magic and counts
+        path.write_bytes(bytes(data))
+        with pytest.raises(DatasetError, match=r"ds\.cache: ids are not valid UTF-8"):
             load_cache(path)
 
     @pytest.mark.parametrize("ratings,trusts", [

@@ -54,15 +54,16 @@ class TestInit:
 class TestCorrupt:
     def test_no_corruption_is_identity(self):
         idx = np.array([1, 5, 9])
-        row, mask = td.corrupt(idx, 0.0, np.random.default_rng(0))
+        row = td.corrupt(idx, 0.0, np.random.default_rng(0))
         assert np.array_equal(row.indices, idx) and row.value == 1.0
-        assert mask.all()
 
     def test_survivor_scale(self):
         idx = np.arange(50)
-        row, mask = td.corrupt(idx, 0.2, np.random.default_rng(1))
+        row = td.corrupt(idx, 0.2, np.random.default_rng(1))
+        # the survivors are the coordinates whose uniform draw is >= q
+        keep = np.random.default_rng(1).random(len(idx)) >= 0.2
         assert row.value == 1.25
-        assert np.array_equal(row.indices, idx[mask])
+        assert np.array_equal(row.indices, idx[keep])
 
     def test_stream_consumption_independent_of_q(self):
         # both q values consume exactly len(idx) draws
@@ -74,7 +75,7 @@ class TestCorrupt:
 
     def test_unbiased(self):
         idx = np.arange(100_000)
-        row, _ = td.corrupt(idx, 0.2, np.random.default_rng(2))
+        row = td.corrupt(idx, 0.2, np.random.default_rng(2))
         mean = row.value * len(row.indices) / len(idx)
         assert abs(mean - 1.0) < 0.01
 
@@ -285,6 +286,26 @@ class TestCheckpoint:
             fh.write(b"TRDAECK1" + struct.pack("<Q", len(blob)) + blob)
             for _, arr in tensors:
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+    @pytest.mark.parametrize("blob,match", [
+        (lambda h: b"\xff" + json.dumps(h).encode("utf-8"), "bad checkpoint header"),
+        (lambda h: json.dumps({"hyperparams": h["hyperparams"]}).encode("utf-8"),
+         "bad checkpoint header .*tensors"),
+        (lambda h: json.dumps(dict(h, hyperparams=dict(h["hyperparams"], depth=2)))
+         .encode("utf-8"), "bad hyperparameters .*depth"),
+    ], ids=["not_utf8", "no_tensors", "unknown_hyperparameter"])
+    def test_bad_header(self, tmp_path, blob, match):
+        params, hp = td.init_params(4, 7, 3, seed=0), td.Hyperparams(latent_dim=3)
+        header = {"hyperparams": dataclasses.asdict(hp),
+                  "tensors": [[name, list(arr.shape)] for name, arr in params.tensors()]}
+        data = blob(header)
+        path = tmp_path / "model.ckpt"
+        with open(path, "wb") as fh:
+            fh.write(b"TRDAECK1" + struct.pack("<Q", len(data)) + data)
+            for _, arr in params.tensors():
+                fh.write(arr.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=f"model.ckpt: {match}"):
+            td.load_checkpoint(path)
 
     def test_writer_matches_save_checkpoint(self, tmp_path):
         hp = td.Hyperparams(latent_dim=3)

@@ -102,11 +102,10 @@ class TestTrain:
                     train_set, u, stream(hp.seed, _ITEM_NEG, e, u),
                     stream(hp.seed, _USER_NEG, e, u))
                 rng_c = stream(hp.seed, _CORRUPT, e, u)
-                rating_in, _ = corrupt(pos_r, hp.corruption, rng_c)
-                trust_in, _ = corrupt(pos_t, hp.corruption, rng_c)
-                trace = forward_sampled(params, hp, rating_in, trust_in,
-                                        tr[0], tt[0], user=u)
-                parts.append(astuple(td.user_loss(params, hp, trace, tr, tt,
+                rating_in = corrupt(pos_r, hp.corruption, rng_c)
+                trust_in = corrupt(pos_t, hp.corruption, rng_c)
+                trace = forward_sampled(params, hp, rating_in, trust_in, tr, tt, u)
+                parts.append(astuple(td.user_loss(params, hp, trace,
                                                   decay_scale=1.0 / n)))
             np.testing.assert_allclose(astuple(stats.loss), np.mean(parts, axis=0),
                                        rtol=1e-12, atol=0)
@@ -168,14 +167,11 @@ class TestUserStep:
         hp = td.Hyperparams(latent_dim=4, weight_decay=0.5, map_decay=0.5,
                             **changes)
         for seed in range(5):
-            store, params, u, rating_in, trust_in, tr, tt = random_instance(
-                8, 12, 4, hp, seed=seed, user_embedding=hp.user_embedding)
-            trace = forward_sampled(params, hp, rating_in, trust_in, tr[0], tt[0],
-                                    user=u)
-            grads = td.user_gradients(params, hp, trace, tr, tt,
-                                      decay_scale=1.0 / store.n)
+            store, params, trace = random_instance(hp, seed=seed)
+            grads = td.user_gradients(params, hp, trace, decay_scale=1.0 / store.n)
             scaled = _ScaledParams(params)
-            _user_step(scaled, hp, store.n, u, rating_in, trust_in, tr, tt)
+            _user_step(scaled, hp, store.n, trace.user, trace.rating_in, trace.trust_in,
+                       (trace.rating_idx, trace.rating_y), (trace.trust_idx, trace.trust_y))
             stepped = scaled.snapshot()
             for (name, got), (_, p), (_, g) in zip(
                     stepped.tensors(), params.tensors(), grads.tensors()):
