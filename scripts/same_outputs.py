@@ -27,8 +27,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-# configuration name -> --set overrides, applied to all three commands; the
-# last spreads about 6,000 items over 200 users, so each fold's evaluation
+# configuration name -> --set overrides, applied to all three commands;
+# `distinct_decays` tells apart which tensors take which l2 coefficient, and
+# `wide` spreads about 6,000 items over 200 users, so each fold's evaluation
 # takes several score blocks
 CONFIGS = {
     "defaults": [],
@@ -36,6 +37,7 @@ CONFIGS = {
     "tdae0": ["variant=tdae0"],
     "user_embedding": ["user_embedding=1", "corruption=0.3"],
     "latent_dim_1": ["latent_dim=1"],
+    "distinct_decays": ["weight_decay=0.05", "map_decay=0.002"],
     "wide": ["latent_dim=20", "top_n=20", "synth_items=6000", "synth_block_items=1500"],
 }
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Hyperparams, ModelParams, corrupt, forward_sampled, init_params
+from .model import Hyperparams, ModelParams, forward_sampled, init_params
 from .objective import user_gradients, user_loss
 from .sparse import SparseInteractions
-from .trainer import _user_targets
+from .trainer import _user_trace
 
 # central-difference step and the pass rule of `compare`
 FD_STEP = 1e-5
@@ -44,7 +44,7 @@ class GradCheckReport:
         return self.failures == 0
 
 
-def fd_gradients(params, hp, trace, decay_scale: float = 1.0) -> ModelParams:
+def fd_gradients(params, hp, trace) -> ModelParams:
     """Central finite differences of the per-user loss, entry by entry.
 
     Each evaluation reruns the forward pass on the inputs, targets and user
@@ -55,7 +55,7 @@ def fd_gradients(params, hp, trace, decay_scale: float = 1.0) -> ModelParams:
     work = params.copy()
 
     def loss() -> float:
-        return user_loss(work, hp, forward_sampled(work, hp, *sample), decay_scale).total
+        return user_loss(work, hp, forward_sampled(work, hp, *sample)).total
 
     out = {}
     for name, arr in work.tensors():
@@ -112,18 +112,15 @@ def random_store(rng: np.random.Generator) -> SparseInteractions:
 
 
 def random_instance(hp: Hyperparams, seed: int):
-    """(store, params, trace): a random store, params of `hp`'s latent_dim and
-    user_embedding, and one user's corrupted forward pass with its targets."""
+    """(params, trace): params of `hp`'s latent_dim and user_embedding over a
+    random store, and one random user's training sample and forward pass,
+    built as the trainer builds it, with every draw from one stream."""
     rng = np.random.default_rng(seed)
     store = random_store(rng)
     params = init_params(store.n, store.m, hp.latent_dim, seed=seed,
                          user_embedding=hp.user_embedding)
     u = int(rng.integers(0, store.n))
-    targets_r, targets_t, pos_r, pos_t = _user_targets(store, u, rng, rng)
-    rating_in = corrupt(pos_r, hp.corruption, rng)
-    trust_in = corrupt(pos_t, hp.corruption, rng)
-    trace = forward_sampled(params, hp, rating_in, trust_in, targets_r, targets_t, u)
-    return store, params, trace
+    return params, _user_trace(params, store, hp, u, rng, rng, rng)
 
 
 def run_suite(instances: int = 20, seed0: int = 0, **changes) -> GradCheckReport:
@@ -140,7 +137,7 @@ def run_suite(instances: int = 20, seed0: int = 0, **changes) -> GradCheckReport
     failures = 0
     entries = 0
     for j in range(instances):
-        _, params, trace = random_instance(hp, seed=seed0 + j)
+        params, trace = random_instance(hp, seed=seed0 + j)
         analytic = user_gradients(params, hp, trace)
         rel, ab, fails = compare(analytic, fd_gradients(params, hp, trace))
         max_rel = max(max_rel, rel)

@@ -15,6 +15,7 @@ for ModelParams: the trainer runs them on its scaled-decay store.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, fields, replace
@@ -65,6 +66,9 @@ class Hyperparams:
     stop_tol: float = 1e-5
 
     def __post_init__(self):
+        for name in ("beta", "weight_decay", "map_decay", "lr", "stop_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
@@ -354,6 +358,13 @@ def save_checkpoint(params: ModelParams, hp: Hyperparams, path) -> None:
             fh.write(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes())
 
 
+def _is_tensor_entry(entry) -> bool:
+    """Whether a header entry is [name, shape]: a string and non-negative ints."""
+    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list)
+            and all(type(d) is int and d >= 0 for d in entry[1]))
+
+
 def _check_tensors(path, tensors: dict[str, np.ndarray], hp: Hyperparams) -> None:
     """Reject a tensor set or shapes that do not form one model of `hp`."""
     want = [name for name in _TENSOR_DIMS if name != "user_vecs" or hp.user_embedding]
@@ -376,10 +387,10 @@ def _check_tensors(path, tensors: dict[str, np.ndarray], hp: Hyperparams) -> Non
 def load_checkpoint(path) -> tuple[ModelParams, Hyperparams]:
     """Read a checkpoint written by `save_checkpoint`.
 
-    Truncated files, a header that is not UTF-8 JSON or lacks a key, bad
-    hyperparameters, a tensor set that does not match `user_embedding`, and
-    tensors that disagree on n, m or k (k = `latent_dim`) raise ValueError
-    naming the file.
+    Truncated files, a header that is not UTF-8 JSON, lacks a key or holds
+    a tensor entry other than [name, non-negative dims], bad hyperparameters,
+    a tensor set that does not match `user_embedding`, and tensors that
+    disagree on n, m or k (k = `latent_dim`) raise ValueError naming the file.
     """
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
@@ -399,9 +410,14 @@ def load_checkpoint(path) -> tuple[ModelParams, Hyperparams]:
         except (ValueError, KeyError, TypeError) as exc:   # ValueError: not UTF-8 JSON
             raise ValueError(f"{path}: bad checkpoint header "
                              f"({type(exc).__name__}: {exc})") from None
+        if not isinstance(specs, list):
+            raise ValueError(f"{path}: bad checkpoint header (tensors: {specs!r})")
+        for entry in specs:
+            if not _is_tensor_entry(entry):
+                raise ValueError(f"{path}: bad checkpoint header (tensor entry {entry!r})")
         kw = {}
         for name, shape in specs:
-            count = int(np.prod(shape))
+            count = math.prod(shape)
             arr = np.frombuffer(read(8 * count, f"tensor {name}"), dtype="<f8").reshape(shape)
             kw[name] = arr.astype(np.float64)
     try:

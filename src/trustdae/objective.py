@@ -15,9 +15,9 @@ Gradient derivation, with e = prediction - target per coordinate:
     d/d(enc_w row i) = input_value_i * g_pre   (zeroed inputs contribute nothing)
     d/d(M0) = -2*beta * outer(d_r, z_t), likewise M1.
 
-`decay_scale` scales only the l2 terms: the trainer passes 1/n so that a
-sweep over all users applies one full decay step per epoch, while scale
-1.0 gives the plain global objective.
+The l2 terms carry a 1/n share (n = params.n), as each of the trainer's
+per-user steps does, so a sweep over all users applies the global
+objective's l2 terms once per epoch.
 """
 
 from __future__ import annotations
@@ -62,16 +62,16 @@ def loss_breakdown(hp: Hyperparams, rating_recon: float, trust_recon: float,
     return LossBreakdown(rating_recon, trust_recon, corr, wd, md, total)
 
 
-def user_loss(params: ModelParams, hp: Hyperparams, trace: ForwardTrace,
-              decay_scale: float = 1.0) -> LossBreakdown:
-    """Loss of one user over the sampled coordinates and targets of `trace`."""
+def user_loss(params: ModelParams, hp: Hyperparams, trace: ForwardTrace) -> LossBreakdown:
+    """Loss of one user over the sampled coordinates and targets of `trace`,
+    with the 1/n share of the l2 terms."""
     rating_recon = float(logistic_loss(trace.rating_y, trace.rating_pred).sum())
     trust_recon = float(logistic_loss(trace.trust_y, trace.trust_pred).sum())
     corr = correlative_term(trace.z_rating, trace.z_trust,
                             params.map_trust_to_rating, params.map_rating_to_trust)
     wd, md = params.decay_norms()
     return loss_breakdown(hp, rating_recon, trust_recon, corr,
-                          decay_scale * wd, decay_scale * md)
+                          wd / params.n, md / params.n)
 
 
 def backprop_core(params, hp: Hyperparams,
@@ -127,11 +127,10 @@ def backprop_core(params, hp: Hyperparams,
     return pieces
 
 
-def user_gradients(params: ModelParams, hp: Hyperparams, trace: ForwardTrace,
-                   decay_scale: float = 1.0) -> ModelParams:
+def user_gradients(params: ModelParams, hp: Hyperparams, trace: ForwardTrace) -> ModelParams:
     """Dense exact gradient of `user_loss`, one array per model tensor."""
-    lam_w = decay_scale * hp.weight_decay
-    lam_m = decay_scale * hp.map_decay
+    lam_w = hp.weight_decay / params.n
+    lam_m = hp.map_decay / params.n
     grads = ModelParams(**{name: (lam_m if name in MAP_TENSORS else lam_w) * arr
                            for name, arr in params.tensors()})
     for name, rows, vals in backprop_core(params, hp, trace):

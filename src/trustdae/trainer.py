@@ -9,7 +9,8 @@ l2 decay is folded into a per-tensor scale factor: one multiplication per
 user step instead of a full-matrix subtraction, so the per-epoch cost
 stays proportional to the interaction count times the latent dimension.
 The scaled store answers the forward pass's row reads directly, so
-training runs the same forward and backward code as the gradient check.
+training runs the same sample builder, forward and backward code as the
+gradient check.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .model import (MAP_TENSORS, Hyperparams, ModelParams, Row, corrupt,
+from .model import (MAP_TENSORS, ForwardTrace, Hyperparams, ModelParams, corrupt,
                     forward_sampled, init_params)
 from .objective import (LossBreakdown, backprop_core, correlative_term,
                         logistic_loss, loss_breakdown)
@@ -72,17 +73,18 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 class _Scaled:
     """A tensor stored as scale * array so decay is O(1) per step."""
 
-    __slots__ = ("arr", "scale")
+    __slots__ = ("arr", "scale", "factor")
 
-    def __init__(self, arr: np.ndarray):
+    def __init__(self, arr: np.ndarray, factor: float):
         self.arr = arr.astype(np.float64, copy=True)
         self.scale = 1.0
+        self.factor = factor
 
     def __getitem__(self, idx) -> np.ndarray:
         return self.arr[idx] * self.scale
 
-    def decay(self, factor: float) -> None:
-        self.scale *= factor
+    def decay(self) -> None:
+        self.scale *= self.factor
         if self.scale < _MIN_SCALE:
             self.arr *= self.scale
             self.scale = 1.0
@@ -92,11 +94,16 @@ class _Scaled:
 
 
 class _ScaledParams:
-    """All model tensors in scaled form, under ModelParams' field names."""
+    """All model tensors in scaled form, under ModelParams' field names,
+    each with its per-step decay factor 1 - lr*lam/n."""
 
-    def __init__(self, params: ModelParams):
+    def __init__(self, params: ModelParams, hp: Hyperparams):
+        n = params.n
+        decay_w = 1.0 - hp.lr * hp.weight_decay / n
+        decay_m = 1.0 - hp.lr * hp.map_decay / n
         self.user_vecs = None
-        self._tensors = [(name, _Scaled(arr)) for name, arr in params.tensors()]
+        self._tensors = [(name, _Scaled(arr, decay_m if name in MAP_TENSORS else decay_w))
+                         for name, arr in params.tensors()]
         for name, s in self._tensors:
             setattr(self, name, s)
 
@@ -124,36 +131,36 @@ def per_user_cost(train: SparseInteractions, hp: Hyperparams) -> int:
     return total
 
 
-def _user_targets(train: SparseInteractions, u: int, rng_items, rng_users):
-    """Clean binary targets over observed positives plus fresh negatives."""
-    pos_r = train.row(u, "rating")
-    pos_t = train.row(u, "trust")
-    neg_r = train.sample_item_negatives(u, rng_items)
-    neg_t = train.sample_user_negatives(u, rng_users)
-    idx_r = np.concatenate([pos_r, neg_r])
-    idx_t = np.concatenate([pos_t, neg_t])
-    y_r = np.concatenate([np.ones(len(pos_r)), np.zeros(len(neg_r))])
-    y_t = np.concatenate([np.ones(len(pos_t)), np.zeros(len(neg_t))])
-    return (idx_r, y_r), (idx_t, y_t), pos_r, pos_t
+def _user_trace(params, data: SparseInteractions, hp: Hyperparams, u: int,
+                rng_items, rng_users, rng_corrupt) -> ForwardTrace:
+    """User u's forward pass on `params`: clean binary targets over the
+    observed positives plus fresh negatives, the corrupted rows as inputs."""
+    pos_r, pos_t = data.row(u, "rating"), data.row(u, "trust")
+    neg_r = data.sample_item_negatives(u, rng_items)
+    neg_t = data.sample_user_negatives(u, rng_users)
+    targets_r = (np.concatenate([pos_r, neg_r]),
+                 np.concatenate([np.ones(len(pos_r)), np.zeros(len(neg_r))]))
+    targets_t = (np.concatenate([pos_t, neg_t]),
+                 np.concatenate([np.ones(len(pos_t)), np.zeros(len(neg_t))]))
+    rating_in = corrupt(pos_r, hp.corruption, rng_corrupt)
+    trust_in = corrupt(pos_t, hp.corruption, rng_corrupt)
+    return forward_sampled(params, hp, rating_in, trust_in, targets_r, targets_t, u)
 
 
-def _user_step(store: _ScaledParams, hp: Hyperparams, n: int, u: int, rating_in: Row,
-               trust_in: Row, targets_r, targets_t) -> tuple[float, float, float]:
-    """One SGD step for user u, in place: params*(1 - lr*lam/n) - lr*grad.
+def _user_step(store: _ScaledParams, hp: Hyperparams,
+               trace: ForwardTrace) -> tuple[float, float, float]:
+    """One SGD step on `trace`'s user, in place: params*(1 - lr*lam/n) - lr*grad.
 
     Returns the (rating, trust, cross-view) loss terms before the step.
     """
-    trace = forward_sampled(store, hp, rating_in, trust_in, targets_r, targets_t, u)
     rating_u = float(logistic_loss(trace.rating_y, trace.rating_pred).sum())
     trust_u = float(logistic_loss(trace.trust_y, trace.trust_pred).sum())
     corr_u = correlative_term(trace.z_rating, trace.z_trust,
                               store.map_trust_to_rating[...],
                               store.map_rating_to_trust[...])
     pieces = backprop_core(store, hp, trace)
-    decay_w = 1.0 - hp.lr * hp.weight_decay / n
-    decay_m = 1.0 - hp.lr * hp.map_decay / n
-    for name, s in store.tensors():
-        s.decay(decay_m if name in MAP_TENSORS else decay_w)
+    for _, s in store.tensors():
+        s.decay()
     for name, rows, vals in pieces:
         getattr(store, name).sub_rows(rows, vals, hp.lr)
     return rating_u, trust_u, corr_u
@@ -176,7 +183,7 @@ def train(train_data: SparseInteractions, hp: Hyperparams,
         raise TrainingError("training data has no rating interactions")
     n = train_data.n
     scaled = _ScaledParams(init_params(
-        n, train_data.m, hp.latent_dim, hp.seed, user_embedding=hp.user_embedding))
+        n, train_data.m, hp.latent_dim, hp.seed, user_embedding=hp.user_embedding), hp)
 
     log = TrainLog(epochs=[])
     stall = 0
@@ -185,15 +192,11 @@ def train(train_data: SparseInteractions, hp: Hyperparams,
         rating_sum = trust_sum = corr_sum = 0.0
         order = stream(hp.seed, _SHUFFLE, epoch).permutation(n)
         for u in order.tolist():
-            targets_r, targets_t, pos_r, pos_t = _user_targets(
-                train_data, u,
-                stream(hp.seed, _ITEM_NEG, epoch, u),
-                stream(hp.seed, _USER_NEG, epoch, u))
-            rng_c = stream(hp.seed, _CORRUPT, epoch, u)
-            rating_in = corrupt(pos_r, hp.corruption, rng_c)
-            trust_in = corrupt(pos_t, hp.corruption, rng_c)
-            rating_u, trust_u, corr_u = _user_step(
-                scaled, hp, n, u, rating_in, trust_in, targets_r, targets_t)
+            trace = _user_trace(scaled, train_data, hp, u,
+                                stream(hp.seed, _ITEM_NEG, epoch, u),
+                                stream(hp.seed, _USER_NEG, epoch, u),
+                                stream(hp.seed, _CORRUPT, epoch, u))
+            rating_u, trust_u, corr_u = _user_step(scaled, hp, trace)
             if not np.isfinite(rating_u + trust_u + corr_u):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, user {u}")
             rating_sum += rating_u

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import struct
 from unittest import mock
 
@@ -236,6 +237,11 @@ class TestPredict:
                                   td.predict_scores(p, s2, [u], 0.0))
 
 
+def _with_tensors(header, tensors):
+    """`header` as JSON bytes, with its tensor list replaced by `tensors`."""
+    return json.dumps(dict(header, tensors=tensors)).encode("utf-8")
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         hp = td.Hyperparams(latent_dim=4, epochs=7, seed=5)
@@ -293,7 +299,17 @@ class TestCheckpoint:
          "bad checkpoint header .*tensors"),
         (lambda h: json.dumps(dict(h, hyperparams=dict(h["hyperparams"], depth=2)))
          .encode("utf-8"), "bad hyperparameters .*depth"),
-    ], ids=["not_utf8", "no_tensors", "unknown_hyperparameter"])
+        (lambda h: _with_tensors(h, [["rating_enc_w", [-1, 3]]]), "bad checkpoint header"),
+        (lambda h: _with_tensors(h, [["rating_enc_w"]]), "bad checkpoint header"),
+        (lambda h: _with_tensors(h, [[2.5, 3]]), "bad checkpoint header"),
+        (lambda h: _with_tensors(h, [["rating_enc_w", "ab"]]), "bad checkpoint header"),
+        (lambda h: _with_tensors(h, 5), "bad checkpoint header"),
+        # 2**64 entries wrap to 0 in int64 arithmetic
+        (lambda h: _with_tensors(h, [["rating_enc_w", [2**32, 2**32]]]),
+         "truncated checkpoint .*rating_enc_w"),
+    ], ids=["not_utf8", "no_tensors", "unknown_hyperparameter", "negative_dim",
+            "no_shape", "number_name", "string_shape", "tensors_not_list",
+            "overflowing_shape"])
     def test_bad_header(self, tmp_path, blob, match):
         params, hp = td.init_params(4, 7, 3, seed=0), td.Hyperparams(latent_dim=3)
         header = {"hyperparams": dataclasses.asdict(hp),
@@ -348,3 +364,9 @@ class TestHyperparams:
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
             td.Hyperparams(**kw)
+
+    @pytest.mark.parametrize("name", ["lr", "beta", "weight_decay", "map_decay", "stop_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            td.Hyperparams(**{name: value})

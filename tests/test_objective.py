@@ -12,10 +12,11 @@ def empty_targets():
     return (np.array([], dtype=np.int64), np.array([]))
 
 
-def make_setup(seed=0, beta=0.01, alpha=0.8, q=0.0, decay=0.01):
+def make_setup(seed=0, beta=0.01, alpha=0.8, q=0.0, decay=0.01, map_decay=None):
     hp = td.Hyperparams(latent_dim=4, alpha=alpha, beta=beta, corruption=q,
-                        weight_decay=decay, map_decay=decay)
-    _, params, trace = random_instance(hp, seed=seed)
+                        weight_decay=decay,
+                        map_decay=decay if map_decay is None else map_decay)
+    params, trace = random_instance(hp, seed=seed)
     return hp, params, trace
 
 
@@ -63,14 +64,13 @@ class TestUserLoss:
 
     def test_breakdown_identity(self):
         hp, params, trace = make_setup(seed=3)
-        for scale in (1.0, 0.125):
-            lb = td.user_loss(params, hp, trace, decay_scale=scale)
-            expect = (lb.rating_recon + lb.trust_recon + hp.beta * lb.correlative
-                      + 0.5 * hp.weight_decay * lb.weight_decay
-                      + 0.5 * hp.map_decay * lb.map_decay)
-            assert math.isclose(lb.total, expect, rel_tol=1e-12)
-            assert min(lb.rating_recon, lb.trust_recon, lb.correlative,
-                       lb.weight_decay, lb.map_decay) >= 0
+        lb = td.user_loss(params, hp, trace)
+        expect = (lb.rating_recon + lb.trust_recon + hp.beta * lb.correlative
+                  + 0.5 * hp.weight_decay * lb.weight_decay
+                  + 0.5 * hp.map_decay * lb.map_decay)
+        assert math.isclose(lb.total, expect, rel_tol=1e-12)
+        assert min(lb.rating_recon, lb.trust_recon, lb.correlative,
+                   lb.weight_decay, lb.map_decay) >= 0
 
     def test_perfect_predictions_give_near_zero_recon(self):
         # steer the decoder bias so every target is hit almost exactly
@@ -87,7 +87,7 @@ class TestUserLoss:
         assert lb.rating_recon < 1e-6
 
     def test_decay_only_quadratic_derivative(self):
-        # no reconstruction targets, beta=0: d total / d W_ij = lambda * W_ij
+        # no reconstruction targets, beta=0: d total / d W_ij = lambda/n * W_ij
         hp = td.Hyperparams(latent_dim=4, beta=0.0, corruption=0.0,
                             weight_decay=0.01, map_decay=0.01)
         params = td.init_params(8, 12, 4, seed=1)
@@ -96,10 +96,10 @@ class TestUserLoss:
                                 empty_targets(), empty_targets())
         grads = td.user_gradients(params, hp, trace)
         np.testing.assert_allclose(grads.rating_enc_w,
-                                   hp.weight_decay * params.rating_enc_w,
+                                   hp.weight_decay / params.n * params.rating_enc_w,
                                    atol=1e-15)
         np.testing.assert_allclose(grads.map_trust_to_rating,
-                                   hp.map_decay * params.map_trust_to_rating,
+                                   hp.map_decay / params.n * params.map_trust_to_rating,
                                    atol=1e-15)
 
     def test_permutation_invariance(self):
@@ -121,10 +121,10 @@ class TestUserGradients:
         # to mean something, so it is nonzero on working code
         assert 0.0 < report.max_rel_err < 1e-4
 
-    def test_finite_difference_with_corruption_and_scale(self):
-        hp, params, trace = make_setup(seed=9, q=0.3)
-        analytic = td.user_gradients(params, hp, trace, decay_scale=0.125)
-        numeric = fd_gradients(params, hp, trace, decay_scale=0.125)
+    def test_finite_difference_with_corruption_and_distinct_decays(self):
+        hp, params, trace = make_setup(seed=9, q=0.3, decay=0.5, map_decay=0.2)
+        analytic = td.user_gradients(params, hp, trace)
+        numeric = fd_gradients(params, hp, trace)
         rel, _, fails = compare(analytic, numeric)
         assert fails == 0, rel
 
@@ -136,13 +136,13 @@ class TestUserGradients:
         hp, params, trace = make_setup(seed=11, alpha=1.0, beta=0.0)
         grads = td.user_gradients(params, hp, trace)
         np.testing.assert_array_equal(grads.trust_enc_w,
-                                      hp.weight_decay * params.trust_enc_w)
+                                      hp.weight_decay / params.n * params.trust_enc_w)
         np.testing.assert_array_equal(grads.trust_enc_b,
-                                      hp.weight_decay * params.trust_enc_b)
+                                      hp.weight_decay / params.n * params.trust_enc_b)
 
     def test_dropped_inputs_contribute_nothing(self):
-        hp, params, trace = make_setup(seed=13, q=0.5)
-        grads = td.user_gradients(params, hp, trace, decay_scale=0.0)
+        hp, params, trace = make_setup(seed=13, q=0.5, decay=0.0)
+        grads = td.user_gradients(params, hp, trace)
         touched = set(trace.rating_in.indices.tolist())
         for i in range(params.m):
             if i not in touched:

@@ -6,9 +6,8 @@ import pytest
 import trustdae as td
 from trustdae import synth
 from trustdae.gradcheck import random_instance
-from trustdae.model import corrupt, forward_sampled
 from trustdae.trainer import (_CORRUPT, _ITEM_NEG, _USER_NEG, TrainingError,
-                              _ScaledParams, _user_step, _user_targets, stream)
+                              _ScaledParams, _user_step, _user_trace, stream)
 
 from conftest import make_tiny_store
 
@@ -98,15 +97,11 @@ class TestTrain:
         for e, stats in enumerate(log.epochs):
             parts = []
             for u in range(n):
-                tr, tt, pos_r, pos_t = _user_targets(
-                    train_set, u, stream(hp.seed, _ITEM_NEG, e, u),
-                    stream(hp.seed, _USER_NEG, e, u))
-                rng_c = stream(hp.seed, _CORRUPT, e, u)
-                rating_in = corrupt(pos_r, hp.corruption, rng_c)
-                trust_in = corrupt(pos_t, hp.corruption, rng_c)
-                trace = forward_sampled(params, hp, rating_in, trust_in, tr, tt, u)
-                parts.append(astuple(td.user_loss(params, hp, trace,
-                                                  decay_scale=1.0 / n)))
+                trace = _user_trace(params, train_set, hp, u,
+                                    stream(hp.seed, _ITEM_NEG, e, u),
+                                    stream(hp.seed, _USER_NEG, e, u),
+                                    stream(hp.seed, _CORRUPT, e, u))
+                parts.append(astuple(td.user_loss(params, hp, trace)))
             np.testing.assert_allclose(astuple(stats.loss), np.mean(parts, axis=0),
                                        rtol=1e-12, atol=0)
 
@@ -163,15 +158,15 @@ class TestUserStep:
         {}, {"user_embedding": True}, {"beta": 0.0}])
     def test_step_follows_checked_gradient(self, changes):
         # the trainer's scaled step equals plain SGD on the gradient that
-        # the finite-difference oracle checks, decay at 1/n strength
-        hp = td.Hyperparams(latent_dim=4, weight_decay=0.5, map_decay=0.5,
+        # the finite-difference oracle checks; distinct decay coefficients
+        # tell apart which tensors take which
+        hp = td.Hyperparams(latent_dim=4, weight_decay=0.5, map_decay=0.2,
                             **changes)
         for seed in range(5):
-            store, params, trace = random_instance(hp, seed=seed)
-            grads = td.user_gradients(params, hp, trace, decay_scale=1.0 / store.n)
-            scaled = _ScaledParams(params)
-            _user_step(scaled, hp, store.n, trace.user, trace.rating_in, trace.trust_in,
-                       (trace.rating_idx, trace.rating_y), (trace.trust_idx, trace.trust_y))
+            params, trace = random_instance(hp, seed=seed)
+            grads = td.user_gradients(params, hp, trace)
+            scaled = _ScaledParams(params, hp)
+            _user_step(scaled, hp, trace)
             stepped = scaled.snapshot()
             for (name, got), (_, p), (_, g) in zip(
                     stepped.tensors(), params.tensors(), grads.tensors()):
