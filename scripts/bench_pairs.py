@@ -1,7 +1,8 @@
 """Alternating parent/change pairs of the cross-validation benchmark.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR \\
-        --workload wide_catalogue --seeds 101-110 --seconds 35
+        --workload wide_catalogue --seeds 101-110 --seconds 35 \\
+        [--claim setup_s]
 
 For each seed it runs `cvbench/run.py` of both checkouts, one after the
 other; the parent goes first in the first pair, the change in the second,
@@ -17,6 +18,9 @@ parent's own quartile distance exceeds the bound while some change run is
 no better than some parent run (`unresolved`). `gain` says whether a gain
 may be claimed: the change wins at least nine pairs in ten and its median
 beats the parent's by more than the parent's quartile distance.
+
+With `--claim METRIC` the script exits 1 unless METRIC's `gain` is yes and
+every metric's `bound` is `ok`, so one command gates a claimed gain.
 """
 
 from __future__ import annotations
@@ -69,6 +73,16 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
     return rows
 
 
+def claim_failures(rows: list[dict], metric: str) -> list[str]:
+    """Why a gain in `metric` may not be claimed over `summarize`'s rows;
+    empty when it may."""
+    failures = [f"{row['name']} bound {row['bound_check']}"
+                for row in rows if row["bound_check"] != "ok"]
+    if not next(row["gain"] for row in rows if row["name"] == metric):
+        failures.insert(0, f"{metric} gain no")
+    return failures
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run of a checkout; exits 1 unless its JSON says correct."""
     cmd = [sys.executable, str(tree / "cvbench" / "run.py"), "--workload", workload,
@@ -90,9 +104,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="exit 1 unless METRIC gains and every bound is ok")
     args = parser.parse_args(argv)
     end_to_end = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
     names = [spec["name"] for spec in end_to_end]
+    if args.claim is not None and args.claim not in names:
+        parser.error(f"--claim {args.claim}: not an end-to-end metric ({', '.join(names)})")
 
     print("pair seed first " + " ".join(f"{n}(parent->change)" for n in names))
     sides = {"parent": args.parent, "change": args.change}
@@ -107,7 +125,8 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"\n{args.workload}, {len(pairs)} pairs, {args.seconds:g}-s runs; "
           "median [q1, q3]")
-    for row in summarize(pairs, end_to_end):
+    rows = summarize(pairs, end_to_end)
+    for row in rows:
         p_q1, p_med, p_q3 = row["parent"]
         c_q1, c_med, c_q3 = row["change"]
         ratio = f"{c_med / p_med:.3f}x" if p_med else "n/a"
@@ -116,7 +135,11 @@ def main(argv: list[str] | None = None) -> int:
               f"change {c_med:.6g} [{c_q1:.6g}, {c_q3:.6g}], change/parent {ratio}, "
               f"wins {row['wins']}/{row['pairs']} (ties {row['ties']}), "
               f"bound {row['bound_check']}, gain {'yes' if row['gain'] else 'no'}")
-    return 0
+    if args.claim is None:
+        return 0
+    failures = claim_failures(rows, args.claim)
+    print(f"claim {args.claim}: " + ("; ".join(failures) if failures else "holds"))
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -87,6 +87,8 @@ class Hyperparams:
             raise ValueError("seed must be >= 0")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
 
     def replace(self, **kw) -> "Hyperparams":
         return replace(self, **kw)
@@ -387,9 +389,10 @@ def _check_tensors(path, tensors: dict[str, np.ndarray], hp: Hyperparams) -> Non
 def load_checkpoint(path) -> tuple[ModelParams, Hyperparams]:
     """Read a checkpoint written by `save_checkpoint`.
 
-    Truncated files, a header that is not UTF-8 JSON, lacks a key or holds
-    a tensor entry other than [name, non-negative dims], bad hyperparameters,
-    a tensor set that does not match `user_embedding`, and tensors that
+    Truncated files, bytes after the last tensor, a header that is not
+    UTF-8 JSON, lacks a key, holds a tensor entry other than [name,
+    non-negative dims] or lists a tensor twice, bad hyperparameters, a
+    tensor set that does not match `user_embedding`, and tensors that
     disagree on n, m or k (k = `latent_dim`) raise ValueError naming the file.
     """
     with open(path, "rb") as fh:
@@ -417,9 +420,13 @@ def load_checkpoint(path) -> tuple[ModelParams, Hyperparams]:
                 raise ValueError(f"{path}: bad checkpoint header (tensor entry {entry!r})")
         kw = {}
         for name, shape in specs:
+            if name in kw:
+                raise ValueError(f"{path}: bad checkpoint header (tensor {name} listed twice)")
             count = math.prod(shape)
             arr = np.frombuffer(read(8 * count, f"tensor {name}"), dtype="<f8").reshape(shape)
             kw[name] = arr.astype(np.float64)
+        if fh.tell() != end:
+            raise ValueError(f"{path}: {end - fh.tell()} bytes after the last tensor")
     try:
         hp = Hyperparams(**settings)
     except (TypeError, ValueError) as exc:   # an unknown name or a value out of range

@@ -81,11 +81,13 @@ def backprop_core(params, hp: Hyperparams,
     The one backward pass of training and the gradient check. Decay is
     left out: the trainer applies it multiplicatively and `user_gradients`
     adds it densely. Returns (tensor name, rows, values) pieces, where
-    rows is an index array, one row, or `...` for the whole tensor; a
-    tensor absent from the list has no data gradient. `params` may be any
-    store the forward pass reads. Target indices within each view must be
-    distinct (observed and sampled sets are disjoint by construction),
-    otherwise the row updates would collide.
+    rows is an index array, one row, or `...` for the whole tensor, and
+    values may be one (k,) row shared by all the piece's rows (the encoder
+    weights, whose inputs all carry one value); a tensor absent from the
+    list has no data gradient. `params` may be any store the forward pass
+    reads. Target indices within each view must be distinct (observed and
+    sampled sets are disjoint by construction), otherwise the row updates
+    would collide.
     """
     e_r = trace.rating_pred - trace.rating_y
     e_t = trace.trust_pred - trace.trust_y
@@ -109,12 +111,9 @@ def backprop_core(params, hp: Hyperparams,
     g_pre_r = g_zr * z_r * (1.0 - z_r)
     g_pre_t = g_zt * z_t * (1.0 - z_t)
     rating_in, trust_in = trace.rating_in, trace.trust_in
-    k = len(fused)
     pieces += [
-        ("rating_enc_w", rating_in.indices, np.broadcast_to(
-            rating_in.value * g_pre_r, (len(rating_in.indices), k))),
-        ("trust_enc_w", trust_in.indices, np.broadcast_to(
-            trust_in.value * g_pre_t, (len(trust_in.indices), k))),
+        ("rating_enc_w", rating_in.indices, rating_in.value * g_pre_r),
+        ("trust_enc_w", trust_in.indices, trust_in.value * g_pre_t),
         ("rating_enc_b", ..., g_pre_r),
         ("trust_enc_b", ..., g_pre_t),
         ("rating_dec_w", trace.rating_idx, e_r[:, None] * fused[None, :]),

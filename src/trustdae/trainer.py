@@ -4,6 +4,9 @@ Each (epoch, user) pair owns independent sub-streams for corruption,
 item negatives and user negatives, all derived from the master seed.
 Runs with the same seed are therefore bit-identical, and variants that
 differ only in loss coefficients consume randomness identically.
+`stream` defines every stream. The per-user ones are not built by it:
+each epoch computes every user's SeedSequence state at once and re-seats
+one generator per purpose from it, which draws exactly as `stream` would.
 
 l2 decay is folded into a per-tensor scale factor: one multiplication per
 user step instead of a full-matrix subtraction, so the per-epoch cost
@@ -29,6 +32,15 @@ from .sparse import SparseInteractions
 # purpose tags for the keyed streams; the values are part of every stream
 # key, so renumbering them changes the negatives, corruption and shuffle
 _CORRUPT, _ITEM_NEG, _USER_NEG, _SHUFFLE = 0, 1, 2, 5
+
+# numpy's SeedSequence constants (NEP 19): the pool-of-4 entropy hash and
+# mix, then generate_state's output hash
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (O'Neill, "PCG", 2014)
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 # a tensor's scale is folded into its array once it falls below this, long
 # before lr/scale can overflow (Bottou, "Stochastic Gradient Descent
@@ -68,6 +80,72 @@ class TrainLog:
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for a (seed, tag, ...) key."""
     return np.random.default_rng((seed,) + key)
+
+
+def _seed_states(key: tuple[int, int, int], users: np.ndarray) -> np.ndarray:
+    """`SeedSequence(key + (u,)).generate_state(4, np.uint64)` for every u
+    in `users`, one row each, in uint32 arithmetic on all users at once.
+
+    Every word of `key` and `users` must be below 2**32: the four words
+    then fill SeedSequence's pool of four exactly, with no padding or
+    extra words.
+    """
+    u32 = np.uint32
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ u32(hash_a)
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * u32(hash_a)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        value = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return value ^ (value >> u32(16))
+
+    users = np.asarray(users, dtype=np.uint32)
+    pool = [hashmix(np.full(len(users), word, dtype=np.uint32)) for word in key]
+    pool.append(hashmix(users))
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    out = np.empty((len(users), 8), dtype=np.uint32)
+    hash_b = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ u32(hash_b)
+        hash_b = hash_b * _MULT_B & _MASK32
+        value = value * u32(hash_b)
+        out[:, i] = value ^ (value >> u32(16))
+    # each uint64 is a little-endian pair of words, as in generate_state
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _user_streams(seed: int, tag: int, epoch: int, n: int):
+    """u -> a generator that draws exactly as `stream(seed, tag, epoch, u)`.
+
+    Every call returns the same generator, re-seated, so each call spends
+    the one before. The PCG64 state is what `pcg64_set_seed` makes of row
+    u of `_seed_states`: inc = 2*initseq + 1; from state 0, one LCG step,
+    add initstate, one more step. A key word of 2**32 or more makes
+    SeedSequence read more words, so such keys fall back to `stream`.
+    """
+    if max(seed, tag, epoch) > _MASK32:
+        return lambda u: stream(seed, tag, epoch, u)
+    states = _seed_states((seed, tag, epoch), np.arange(n))
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+
+    def seat(u: int) -> np.random.Generator:
+        init_hi, init_lo, seq_hi, seq_lo = states[u].tolist()
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": state, "inc": inc}}
+        return rng
+
+    return seat
 
 
 class _Scaled:
@@ -191,11 +269,10 @@ def train(train_data: SparseInteractions, hp: Hyperparams,
         tic = time.perf_counter()
         rating_sum = trust_sum = corr_sum = 0.0
         order = stream(hp.seed, _SHUFFLE, epoch).permutation(n)
+        items, users, noise = (_user_streams(hp.seed, tag, epoch, n)
+                               for tag in (_ITEM_NEG, _USER_NEG, _CORRUPT))
         for u in order.tolist():
-            trace = _user_trace(scaled, train_data, hp, u,
-                                stream(hp.seed, _ITEM_NEG, epoch, u),
-                                stream(hp.seed, _USER_NEG, epoch, u),
-                                stream(hp.seed, _CORRUPT, epoch, u))
+            trace = _user_trace(scaled, train_data, hp, u, items(u), users(u), noise(u))
             rating_u, trust_u, corr_u = _user_step(scaled, hp, trace)
             if not np.isfinite(rating_u + trust_u + corr_u):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, user {u}")

@@ -95,3 +95,52 @@ def test_incorrect_run_stops(tmp_path):
     with pytest.raises(SystemExit) as exc:
         bench_pairs.run_once(tree, "w", 1, 1.0)
     assert exc.value.code == 1
+
+
+def run_claim(tmp_path, monkeypatch, parent, change, claim):
+    """main() over pairs of hand-made (t, rate) values, one pair per seed."""
+    values = {"p": parent, "c": change}
+
+    def run_once(tree, workload, seed, seconds):
+        t, rate = values[tree.name][seed - 1]
+        return {"t": t, "rate": rate}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    tree = tmp_path / "p"
+    tree.mkdir()
+    (tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": LOWER + HIGHER}))
+    return bench_pairs.main(["--parent", str(tree), "--change", str(tmp_path / "c"),
+                             "--workload", "w", "--seeds", f"1-{len(parent)}",
+                             "--seconds", "1", "--claim", claim])
+
+
+def test_claim_holds_with_gain_and_every_bound_ok(tmp_path, monkeypatch, capsys):
+    assert run_claim(tmp_path, monkeypatch, [(10, 100)] * 10,
+                     [(5, 95)] * 9 + [(12, 100)], "t") == 0
+    assert capsys.readouterr().out.endswith("claim t: holds\n")
+
+
+def test_claim_fails_without_gain(tmp_path, monkeypatch, capsys):
+    # eight wins in ten
+    assert run_claim(tmp_path, monkeypatch, [(10, 100)] * 10,
+                     [(5, 100)] * 8 + [(12, 100)] * 2, "t") == 1
+    assert capsys.readouterr().out.endswith("claim t: t gain no\n")
+
+
+@pytest.mark.parametrize("parent_rate,change_rate,verdict", [
+    ([100] * 10, [70] * 10, "worse"),
+    # parent quartiles 60 and 100 around a median of 80
+    ([100, 60] * 5, [100, 60] * 5, "unresolved"),
+], ids=["worse", "unresolved"])
+def test_claim_fails_on_any_other_bound(tmp_path, monkeypatch, capsys,
+                                        parent_rate, change_rate, verdict):
+    # `t` gains in every case
+    assert run_claim(tmp_path, monkeypatch, [(10, r) for r in parent_rate],
+                     [(5, r) for r in change_rate], "t") == 1
+    assert capsys.readouterr().out.endswith(f"claim t: rate bound {verdict}\n")
+
+
+def test_claim_of_unknown_metric_is_a_usage_error(tmp_path, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        run_claim(tmp_path, monkeypatch, [(10, 100)], [(5, 100)], "speed")
+    assert exc.value.code == 2

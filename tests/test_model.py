@@ -344,14 +344,27 @@ class TestCheckpoint:
         (lambda hp, t: (hp, t + [("user_vecs", np.zeros((4, 3)))]), "unexpected tensor user_vecs"),
         (lambda hp, t: (hp.replace(user_embedding=True), t + [("user_vecs", np.zeros((4, 2)))]),
          r"tensor user_vecs has shape \(4, 2\)"),
+        # a second copy would otherwise replace the first
+        (lambda hp, t: (hp, t + [("rating_enc_w", np.full((7, 3), 9.0))]),
+         r"bad checkpoint header \(tensor rating_enc_w listed twice\)"),
     ], ids=["unknown", "missing", "rows_m", "rows_n", "latent_dim", "no_user_vecs",
-            "stray_user_vecs", "user_vecs_k"])
+            "stray_user_vecs", "user_vecs_k", "duplicate"])
     def test_inconsistent(self, tmp_path, edit, match):
         hp, tensors = edit(td.Hyperparams(latent_dim=3),
                            list(td.init_params(4, 7, 3, seed=0).tensors()))
         path = tmp_path / "model.ckpt"
         self._write(path, hp, tensors)
         with pytest.raises(ValueError, match=f"model.ckpt: {match}"):
+            td.load_checkpoint(path)
+
+
+    def test_bytes_after_last_tensor(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        self._write(path, td.Hyperparams(latent_dim=3),
+                    list(td.init_params(4, 7, 3, seed=0).tensors()))
+        with open(path, "ab") as fh:
+            fh.write(bytes(16))
+        with pytest.raises(ValueError, match="model.ckpt: 16 bytes after the last tensor"):
             td.load_checkpoint(path)
 
 
@@ -370,3 +383,10 @@ class TestHyperparams:
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             td.Hyperparams(**{name: value})
+
+    @pytest.mark.parametrize("patience", [0, -2])
+    def test_patience_below_one_rejected(self, patience):
+        # with early_stop, such a run stopped after its second epoch
+        # whatever the loss did
+        with pytest.raises(ValueError, match="patience must be >= 1"):
+            td.Hyperparams(patience=patience)

@@ -7,7 +7,8 @@ import trustdae as td
 from trustdae import synth
 from trustdae.gradcheck import random_instance
 from trustdae.trainer import (_CORRUPT, _ITEM_NEG, _USER_NEG, TrainingError,
-                              _ScaledParams, _user_step, _user_trace, stream)
+                              _ScaledParams, _seed_states, _user_step, _user_streams,
+                              _user_trace, stream)
 
 from conftest import make_tiny_store
 
@@ -86,14 +87,17 @@ class TestTrain:
         _, log = td.train(train_set, hp)
         assert all(e.param_norm <= 100 * init_norm for e in log.epochs)
 
-    def test_logged_loss_is_mean_training_step_loss(self):
+    # seed 2**40 takes two entropy words, so training falls back to `stream`
+    @pytest.mark.parametrize("seed", [3, 2**40], ids=["small_seed", "seed_2_40"])
+    def test_logged_loss_is_mean_training_step_loss(self, seed):
         # with lr=0 the parameters never move, so every step's loss is the
-        # checked objective at the initial parameters on that step's streams
+        # checked objective at the initial parameters on that step's streams,
+        # replayed here from their definition
         train_set, _ = small_train_set()
         n = train_set.n
-        hp = td.Hyperparams(latent_dim=4, epochs=2, lr=0.0, seed=3)
+        hp = td.Hyperparams(latent_dim=4, epochs=2, lr=0.0, seed=seed)
         _, log = td.train(train_set, hp)
-        params = td.init_params(n, train_set.m, 4, seed=3)
+        params = td.init_params(n, train_set.m, 4, seed=seed)
         for e, stats in enumerate(log.epochs):
             parts = []
             for u in range(n):
@@ -151,6 +155,42 @@ class TestDecayPath:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, stream(3, 1, 5, 7).random(8))
         assert not np.array_equal(a, stream(3, 0, 6, 7).random(8))
+
+
+def _draws(rng):
+    """Every kind of draw the trainer makes, in one sequence: bounded integers
+    below and above 2**32 (rejection sampling), two `random` calls in a row
+    (`corrupt` on both views), `choice` without replacement (complement
+    sampling) and `permutation` (the epoch shuffle)."""
+    return [rng.integers(0, 1200, size=37), rng.integers(0, 2**40, size=5),
+            rng.random(3), rng.random(8), rng.choice(np.arange(50, 90), 11, replace=False),
+            rng.permutation(25), rng.integers(0, 7, size=1)]
+
+
+class TestUserStreams:
+    # training re-implements numpy's SeedSequence and PCG64 seeding; a numpy
+    # that seeds differently fails here rather than changing every draw
+    def test_states_equal_seed_sequence(self):
+        rng = np.random.default_rng(11)
+        keys = [(0, 0, 0), (2**32 - 1, 2, 2**32 - 1), (5, 1, 3)]
+        keys += [tuple(rng.integers(0, 2**32, size=3).tolist()) for _ in range(20)]
+        for key in keys:
+            users = [0, 1, 2**32 - 1] + rng.integers(0, 2**32, size=20).tolist()
+            got = _seed_states(key, np.array(users))
+            for u, row in zip(users, got):
+                want = np.random.SeedSequence(key + (u,)).generate_state(4, np.uint64)
+                assert np.array_equal(row, want), (key, u)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40, 7, 2_894_012_311])
+    def test_reseated_generator_draws_as_stream(self, seed):
+        # one generator serves every user in turn; 2**32 and up fall back
+        n = 70_001
+        for tag, epoch in [(_ITEM_NEG, 0), (_CORRUPT, 49), (_USER_NEG, 2**31 + 5)]:
+            seat = _user_streams(seed, tag, epoch, n)
+            for u in [0, n - 1, 1, 12_345, 0]:
+                got, want = _draws(seat(u)), _draws(stream(seed, tag, epoch, u))
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b), (seed, tag, epoch, u)
 
 
 class TestUserStep:
