@@ -13,12 +13,14 @@ logs. Then it runs `gradcheck` of each tree.
 Train logs are compared without their `wall_time` column and `gradcheck`'s
 output without its elapsed times; everything else byte for byte. The
 script exits 1 and names every file that differs, or is missing on one
-side, and exits 0 when all match.
+side, and exits 0 when all match. For a train log that differs it also
+prints the largest relative difference in each column that differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import shutil
@@ -99,6 +101,44 @@ def differing(parent: dict[str, bytes], change: dict[str, bytes]) -> list[str]:
                   or canonical(name, parent[name]) != canonical(name, change[name]))
 
 
+def column_changes(parent: bytes, change: bytes) -> dict[str, float] | None:
+    """{column: largest relative difference} over the columns, `wall_time`
+    aside, in which two train logs' tables differ; None when the tables
+    differ in shape or hold a value that is not a number."""
+    def table(data: bytes) -> list[list[str]]:
+        return [line.split(",") for line in data.decode().split("\n")
+                if line and not line.startswith("#")]
+
+    out = {}
+    try:
+        (head, *rows_p), (head_c, *rows_c) = table(parent), table(change)
+        if head != head_c or len(rows_p) != len(rows_c):
+            return None
+        for a, b in zip(rows_p, rows_c):
+            if not len(a) == len(b) == len(head):
+                return None
+            for name, x, y in zip(head, map(float, a), map(float, b)):
+                if name != "wall_time" and not x == y:
+                    rel = abs(x - y) / max(abs(x), abs(y))
+                    out[name] = max(out.get(name, 0.0), math.inf if math.isnan(rel) else rel)
+    except ValueError:   # no table, bytes that are not UTF-8, or a non-number
+        return None
+    return {name: out[name] for name in head if name in out}
+
+
+def describe(name: str, parent: dict[str, bytes], change: dict[str, bytes]) -> str:
+    """`name`, and for a train log on both sides how its columns moved."""
+    if not name.endswith("_train_log.csv") or name not in parent or name not in change:
+        return name
+    cols = column_changes(parent[name], change[name])
+    if cols is None:
+        return f"{name} (tables differ in shape or hold a non-number)"
+    if not cols:
+        return f"{name} (comment lines only)"
+    return (f"{name} (largest relative difference: "
+            + ", ".join(f"{col} {rel:.2g}" for col, rel in cols.items()) + ")")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -110,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         change = outputs(args.change, work)
     diff = differing(parent, change)
     for name in diff:
-        print(f"differs: {name}")
+        print(f"differs: {describe(name, parent, change)}")
     print(f"{len(parent.keys() | change.keys()) - len(diff)} files identical, "
           f"{len(diff)} differ ({', '.join(CONFIGS)}, gradcheck)")
     return 1 if diff else 0

@@ -9,9 +9,9 @@ so any row can be reproduced from its own header.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -107,13 +107,23 @@ def _grid(text: str, kind):
     return [kind(tok) for tok in text.split(",") if tok.strip()]
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Yield `path`.tmp to fill; it replaces `path`, or is removed if the block raises."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = path + ".tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _atomic_write(path: str, lines: list[str]) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
 
 
 def fold_seed(base: int, fold: int) -> int:
@@ -153,9 +163,8 @@ def _run_fold(ds, split, fold, cfg, out_dir, header):
         ckpt = None
         if out_dir:
             def ckpt(epoch, params, _fold=fold, _hp=hp):
-                path = os.path.join(out_dir, f"fold{_fold}.ckpt")
-                save_checkpoint(params, _hp, path + ".tmp")
-                os.replace(path + ".tmp", path)
+                with _replacing(os.path.join(out_dir, f"fold{_fold}.ckpt")) as tmp:
+                    save_checkpoint(params, _hp, tmp)
         params, log = trainer.train(train_set, hp, checkpoint=ckpt,
                                     checkpoint_every=cfg.checkpoint_every)
         if out_dir:

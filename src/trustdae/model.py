@@ -3,9 +3,9 @@
 A user is represented twice, from their rating row and from their trust
 row. Both sparse rows are dropout-corrupted, encoded through sigmoid
 layers into k-dimensional codes, fused by a convex combination, and the
-fused code is decoded back into per-item and per-user probabilities.
-Prediction runs the same pass on clean inputs, for a block of users, and
-stops at the item logits.
+fused code is decoded back into per-item and per-user logits, whose
+sigmoids are the reconstructions. Prediction runs the same pass on clean
+inputs, for a block of users, and decodes only the items.
 
 The passes read every tensor by indexing (`w[rows]`, `b[...]`), so any
 store that answers indexing under ModelParams' field names can stand in
@@ -26,9 +26,6 @@ import numpy as np
 from .sparse import SparseInteractions
 
 _CKPT_MAGIC = b"TRDAECK1"
-
-# sigmoid outputs are clamped to this band before any logarithm
-PROB_EPS = 1e-7
 
 # encoder rows gathered at once when predict_scores encodes a block: the
 # gather and its slot indices hold 4096 * k floats and ints each (320 KiB
@@ -163,9 +160,9 @@ class ForwardTrace:
     """One user's sample and the activations of its pass, kept for backprop.
 
     `rating_y` / `trust_y` are the binary targets at the coordinates
-    `rating_idx` / `trust_idx`. `rating_pred` / `trust_pred`, and the
-    decoder weight rows gathered to compute them, are aligned with those
-    coordinates, not with the full output rows.
+    `rating_idx` / `trust_idx`. `rating_logit` / `trust_logit`, the
+    decoders' logits, and the decoder weight rows gathered to compute them,
+    are aligned with those coordinates, not with the full output rows.
     """
 
     rating_in: Row
@@ -177,8 +174,8 @@ class ForwardTrace:
     trust_idx: np.ndarray
     rating_y: np.ndarray
     trust_y: np.ndarray
-    rating_pred: np.ndarray
-    trust_pred: np.ndarray
+    rating_logit: np.ndarray
+    trust_logit: np.ndarray
     rating_dec_rows: np.ndarray
     trust_dec_rows: np.ndarray
     user: int | None = None
@@ -188,10 +185,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function: exp(-log(1 + e^-x))."""
     x = np.asarray(x, dtype=np.float64)
     return np.exp(-np.logaddexp(0.0, -x))
-
-
-def clamp_probs(p: np.ndarray) -> np.ndarray:
-    return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
 
 
 def init_params(n: int, m: int, k: int, seed: int,
@@ -257,16 +250,15 @@ def fuse(z_rating: np.ndarray, z_trust: np.ndarray, alpha: float) -> np.ndarray:
 
 def decode_at(params: ModelParams, fused: np.ndarray, item_idx: np.ndarray,
               user_idx: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Reconstructions at selected coordinates only.
+    """Decoder logits at selected coordinates only.
 
-    Returns (item probabilities, user probabilities, item decoder rows,
-    user decoder rows); backprop reuses the gathered rows.
+    Returns (item logits, user logits, item decoder rows, user decoder
+    rows); backprop reuses the gathered rows.
     """
     rows_r = params.rating_dec_w[item_idx]
     rows_t = params.trust_dec_w[user_idx]
-    r_hat = sigmoid(rows_r @ fused + params.rating_dec_b[item_idx])
-    t_hat = sigmoid(rows_t @ fused + params.trust_dec_b[user_idx])
-    return r_hat, t_hat, rows_r, rows_t
+    return (rows_r @ fused + params.rating_dec_b[item_idx],
+            rows_t @ fused + params.trust_dec_b[user_idx], rows_r, rows_t)
 
 
 def forward_sampled(params: ModelParams, hp: Hyperparams, rating_in: Row,
@@ -283,13 +275,13 @@ def forward_sampled(params: ModelParams, hp: Hyperparams, rating_in: Row,
     (rating_idx, rating_y), (trust_idx, trust_y) = targets_r, targets_t
     z_rating, z_trust = encode(params, rating_in, trust_in, user)
     fused = fuse(z_rating, z_trust, hp.alpha)
-    rating_pred, trust_pred, rating_rows, trust_rows = decode_at(
+    rating_logit, trust_logit, rating_rows, trust_rows = decode_at(
         params, fused, rating_idx, trust_idx)
     return ForwardTrace(rating_in=rating_in, trust_in=trust_in,
                         z_rating=z_rating, z_trust=z_trust, fused=fused,
                         rating_idx=rating_idx, trust_idx=trust_idx,
                         rating_y=rating_y, trust_y=trust_y,
-                        rating_pred=rating_pred, trust_pred=trust_pred,
+                        rating_logit=rating_logit, trust_logit=trust_logit,
                         rating_dec_rows=rating_rows, trust_dec_rows=trust_rows,
                         user=user)
 

@@ -1,11 +1,11 @@
 """Per-user sampled training objective and its exact analytic gradients.
 
-The loss for one user sums elementwise logistic losses over the observed
-positives plus the sampled negatives of both views, a cross-view penalty
-tying the two codes together, and l2 terms on all tensors. Targets are
-the clean binary values even though the encoded inputs are corrupted.
+The loss for one user sums logistic losses, exact on the decoder logits,
+over the observed positives plus the sampled negatives of both views, a
+cross-view penalty tying the two codes together, and l2 terms on all
+tensors. Targets are the clean binary values, though the inputs are corrupted.
 
-Gradient derivation, with e = prediction - target per coordinate:
+Gradient derivation, with e = sigmoid(logit) - target per coordinate:
     d/d(dec_w row j) = e_j * fused            d/d(dec_b_j) = e_j
     g_fused          = sum_j e_j * dec_w[j]   over both decoders
     g_zr = alpha*g_fused     + 2*beta*(d_r - M1^T d_t)
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MAP_TENSORS, ForwardTrace, Hyperparams, ModelParams, clamp_probs
+from .model import MAP_TENSORS, ForwardTrace, Hyperparams, ModelParams, sigmoid
 
 
 @dataclass
@@ -39,11 +39,10 @@ class LossBreakdown:
     total: float
 
 
-def logistic_loss(y, y_hat):
-    """Elementwise -y*log(p) - (1-y)*log(1-p), with p clamped away from {0,1}."""
-    p = clamp_probs(np.asarray(y_hat, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64)
-    return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
+def logistic_loss(y, x):
+    """Elementwise -y*log(p) - (1-y)*log(1-p) at p = sigmoid(x), for binary
+    targets y and logits x: log(1 + e^((1-2y) x)), exact at any logit."""
+    return np.logaddexp(0.0, (1.0 - 2.0 * np.asarray(y, dtype=np.float64)) * x)
 
 
 def correlative_term(z_rating: np.ndarray, z_trust: np.ndarray,
@@ -62,16 +61,22 @@ def loss_breakdown(hp: Hyperparams, rating_recon: float, trust_recon: float,
     return LossBreakdown(rating_recon, trust_recon, corr, wd, md, total)
 
 
+def data_terms(params, trace: ForwardTrace) -> tuple[float, float, float]:
+    """The (rating, trust, cross-view) data terms of one user's loss over the
+    sampled coordinates and targets of `trace`; `params` may be any store
+    the forward pass reads."""
+    return (float(logistic_loss(trace.rating_y, trace.rating_logit).sum()),
+            float(logistic_loss(trace.trust_y, trace.trust_logit).sum()),
+            correlative_term(trace.z_rating, trace.z_trust,
+                             params.map_trust_to_rating[...],
+                             params.map_rating_to_trust[...]))
+
+
 def user_loss(params: ModelParams, hp: Hyperparams, trace: ForwardTrace) -> LossBreakdown:
     """Loss of one user over the sampled coordinates and targets of `trace`,
     with the 1/n share of the l2 terms."""
-    rating_recon = float(logistic_loss(trace.rating_y, trace.rating_pred).sum())
-    trust_recon = float(logistic_loss(trace.trust_y, trace.trust_pred).sum())
-    corr = correlative_term(trace.z_rating, trace.z_trust,
-                            params.map_trust_to_rating, params.map_rating_to_trust)
     wd, md = params.decay_norms()
-    return loss_breakdown(hp, rating_recon, trust_recon, corr,
-                          wd / params.n, md / params.n)
+    return loss_breakdown(hp, *data_terms(params, trace), wd / params.n, md / params.n)
 
 
 def backprop_core(params, hp: Hyperparams,
@@ -89,8 +94,8 @@ def backprop_core(params, hp: Hyperparams,
     sampled sets are disjoint by construction), otherwise the row updates
     would collide.
     """
-    e_r = trace.rating_pred - trace.rating_y
-    e_t = trace.trust_pred - trace.trust_y
+    e_r = sigmoid(trace.rating_logit) - trace.rating_y
+    e_t = sigmoid(trace.trust_logit) - trace.trust_y
     z_r, z_t, fused = trace.z_rating, trace.z_trust, trace.fused
     g_fused = trace.rating_dec_rows.T @ e_r + trace.trust_dec_rows.T @ e_t
 

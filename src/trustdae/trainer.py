@@ -25,8 +25,9 @@ import numpy as np
 
 from .model import (MAP_TENSORS, ForwardTrace, Hyperparams, ModelParams, corrupt,
                     forward_sampled, init_params)
-from .objective import (LossBreakdown, backprop_core, correlative_term,
-                        logistic_loss, loss_breakdown)
+from .objective import LossBreakdown, backprop_core, data_terms, loss_breakdown
+# looked up here by the benchmark's span tracer (cvbench/tracing.py)
+from .objective import correlative_term, logistic_loss  # noqa: F401
 from .sparse import SparseInteractions
 
 # purpose tags for the keyed streams; the values are part of every stream
@@ -231,17 +232,13 @@ def _user_step(store: _ScaledParams, hp: Hyperparams,
 
     Returns the (rating, trust, cross-view) loss terms before the step.
     """
-    rating_u = float(logistic_loss(trace.rating_y, trace.rating_pred).sum())
-    trust_u = float(logistic_loss(trace.trust_y, trace.trust_pred).sum())
-    corr_u = correlative_term(trace.z_rating, trace.z_trust,
-                              store.map_trust_to_rating[...],
-                              store.map_rating_to_trust[...])
+    terms = data_terms(store, trace)
     pieces = backprop_core(store, hp, trace)
     for _, s in store.tensors():
         s.decay()
     for name, rows, vals in pieces:
         getattr(store, name).sub_rows(rows, vals, hp.lr)
-    return rating_u, trust_u, corr_u
+    return terms
 
 
 def train(train_data: SparseInteractions, hp: Hyperparams,
@@ -267,23 +264,20 @@ def train(train_data: SparseInteractions, hp: Hyperparams,
     stall = 0
     for epoch in range(hp.epochs):
         tic = time.perf_counter()
-        rating_sum = trust_sum = corr_sum = 0.0
+        sums = [0.0, 0.0, 0.0]
         order = stream(hp.seed, _SHUFFLE, epoch).permutation(n)
         items, users, noise = (_user_streams(hp.seed, tag, epoch, n)
                                for tag in (_ITEM_NEG, _USER_NEG, _CORRUPT))
         for u in order.tolist():
             trace = _user_trace(scaled, train_data, hp, u, items(u), users(u), noise(u))
-            rating_u, trust_u, corr_u = _user_step(scaled, hp, trace)
-            if not np.isfinite(rating_u + trust_u + corr_u):
+            terms = _user_step(scaled, hp, trace)
+            if not np.isfinite(sum(terms)):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, user {u}")
-            rating_sum += rating_u
-            trust_sum += trust_u
-            corr_sum += corr_u
+            sums = [total + term for total, term in zip(sums, terms)]
 
         params = scaled.snapshot()
         wd, md = params.decay_norms()
-        epoch_loss = loss_breakdown(hp, rating_sum / n, trust_sum / n,
-                                    corr_sum / n, wd / n, md / n)
+        epoch_loss = loss_breakdown(hp, *(total / n for total in sums), wd / n, md / n)
         if not np.isfinite(epoch_loss.total):
             raise TrainingError(f"non-finite parameters after epoch {epoch}")
         log.epochs.append(EpochStats(epoch=epoch, loss=epoch_loss,

@@ -185,3 +185,26 @@ class TestSynthModule:
         with pytest.raises(ValueError):
             synth.make_block_raw(n_users=10, n_items=10, n_communities=4,
                                  block_items=60)
+
+
+class TestAtomicWrites:
+    def test_failed_write_leaves_target_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):   # a lone surrogate fails mid-write
+            cli._atomic_write(str(path), ["new", "\ud800"])
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
+    def test_failed_checkpoint_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def failing_save(params, hp, path):
+            with open(path, "wb") as fh:
+                fh.write(b"partial")
+            raise OSError("disk full")
+
+        args = small_synth_args(tmp_path, checkpoint_every="1", epochs="1")
+        cli.main(["synth"] + args)
+        cli.main(["preprocess"] + args)
+        monkeypatch.setattr(cli, "save_checkpoint", failing_save)
+        assert cli.main(["run"] + args) == 1
+        assert list((tmp_path / "out").iterdir()) == []

@@ -22,16 +22,23 @@ def make_setup(seed=0, beta=0.01, alpha=0.8, q=0.0, decay=0.01, map_decay=None):
 
 class TestLogisticLoss:
     def test_hand_values(self):
-        assert math.isclose(td.logistic_loss(1, 0.5), math.log(2), rel_tol=1e-12)
-        assert math.isclose(td.logistic_loss(0, 0.5), math.log(2), rel_tol=1e-12)
+        assert math.isclose(td.logistic_loss(1, 0.0), math.log(2), rel_tol=1e-12)
+        assert math.isclose(td.logistic_loss(0, 0.0), math.log(2), rel_tol=1e-12)
 
     def test_limit_to_zero(self):
-        assert td.logistic_loss(1, 1 - 1e-9) < 1e-6
-        assert td.logistic_loss(0, 1e-9) < 1e-6
+        assert td.logistic_loss(1, 40.0) < 1e-15
+        assert td.logistic_loss(0, -40.0) < 1e-15
 
-    def test_clamped_endpoints_finite(self):
-        assert np.isfinite(td.logistic_loss(1, 0.0))
-        assert np.isfinite(td.logistic_loss(0, 1.0))
+    def test_wrong_side_grows_with_the_logit(self):
+        # a clamp at 1e-7 would cap both at about 16.1
+        assert math.isclose(td.logistic_loss(1, -40.0), 40.0, rel_tol=1e-12)
+        assert math.isclose(td.logistic_loss(0, 40.0), 40.0, rel_tol=1e-12)
+
+    def test_extreme_logits_finite(self):
+        got = td.logistic_loss(np.array([1.0, 0.0, 1.0, 0.0]),
+                               np.array([1000.0, -1000.0, -1000.0, 1000.0]))
+        assert np.isfinite(got).all()
+        np.testing.assert_array_equal(got, [0.0, 0.0, 1000.0, 1000.0])
 
 
 class TestCorrelativeTerm:
@@ -58,8 +65,8 @@ class TestUserLoss:
     def test_recon_only_when_regularizers_off(self):
         hp, params, trace = make_setup(beta=0.0, decay=0.0)
         lb = td.user_loss(params, hp, trace)
-        recon = (td.logistic_loss(trace.rating_y, trace.rating_pred).sum()
-                 + td.logistic_loss(trace.trust_y, trace.trust_pred).sum())
+        recon = (td.logistic_loss(trace.rating_y, trace.rating_logit).sum()
+                 + td.logistic_loss(trace.trust_y, trace.trust_logit).sum())
         assert math.isclose(lb.total, recon, rel_tol=1e-12)
 
     def test_breakdown_identity(self):
@@ -128,6 +135,25 @@ class TestUserGradients:
         rel, _, fails = compare(analytic, numeric)
         assert fails == 0, rel
 
+    def test_finite_difference_at_saturated_logits(self):
+        # in each view, one positive target is pushed below logit -20 and one
+        # negative above +20, where a clamped probability would flatten the loss
+        hp, params, trace = make_setup(seed=2)
+        for y, idx, w, b in ((trace.rating_y, trace.rating_idx,
+                              params.rating_dec_w, params.rating_dec_b),
+                             (trace.trust_y, trace.trust_idx,
+                              params.trust_dec_w, params.trust_dec_b)):
+            pos, neg = idx[np.flatnonzero(y == 1)[0]], idx[np.flatnonzero(y == 0)[0]]
+            b[pos], b[neg] = -25.0, 25.0
+            logits = w[[pos, neg]] @ trace.fused + b[[pos, neg]]
+            assert logits[0] < -20.0 and logits[1] > 20.0
+        trace = forward_sampled(params, hp, trace.rating_in, trace.trust_in,
+                                (trace.rating_idx, trace.rating_y),
+                                (trace.trust_idx, trace.trust_y), trace.user)
+        analytic = td.user_gradients(params, hp, trace)
+        rel, _, fails = compare(analytic, fd_gradients(params, hp, trace))
+        assert fails == 0, rel
+
     def test_finite_difference_with_user_embedding(self):
         report = run_suite(instances=3, seed0=70, user_embedding=True)
         assert report.ok
@@ -173,7 +199,8 @@ class TestUserGradients:
     def test_non_finite_raises_with_name(self):
         hp, params, trace = make_setup(seed=19)
         params.rating_dec_w[0, 0] = np.nan
-        trace.rating_pred = trace.rating_pred.copy()
-        trace.rating_pred[0] = np.nan
-        with pytest.raises(FloatingPointError, match="rating_dec_w|rating_enc"):
+        trace.rating_logit = trace.rating_logit.copy()
+        trace.rating_logit[0] = np.nan
+        with pytest.raises(FloatingPointError, match="rating_dec_w|rating_enc"), \
+                np.errstate(invalid="ignore"):
             td.user_gradients(params, hp, trace)

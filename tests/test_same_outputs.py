@@ -54,3 +54,24 @@ def test_missing_file_fails():
     change = tree(**{"defaults/out/fold0.ckpt": None})
     assert same_outputs.differing(tree(), change) == ["defaults/out/fold0.ckpt"]
     assert same_outputs.differing(change, tree()) == ["defaults/out/fold0.ckpt"]
+
+
+def test_train_log_columns_report_their_largest_relative_change():
+    log = LOG.replace(b"1,1.25", b"1,1.2500001").replace(b"0.0123", b"0.9")
+    changes = same_outputs.column_changes(LOG, log)
+    assert list(changes) == ["total"]
+    assert abs(changes["total"] - 1e-7 / 1.2500001) < 1e-15
+    both = {"fold0_train_log.csv": LOG}
+    assert same_outputs.describe("fold0_train_log.csv", both,
+                                 {"fold0_train_log.csv": log}) == (
+        "fold0_train_log.csv (largest relative difference: total 8e-08)")
+    # the file still differs, so the run still exits 1
+    assert same_outputs.differing(tree(), tree(**{"defaults/out/fold0_train_log.csv": log})) == [
+        "defaults/out/fold0_train_log.csv"]
+
+
+def test_train_log_of_another_shape_is_named_as_such():
+    short = LOG.rsplit(b"\n", 2)[0] + b"\n"
+    assert same_outputs.column_changes(LOG, short) is None
+    assert same_outputs.column_changes(LOG, LOG.replace(b"1.25", b"n/a")) is None
+    assert same_outputs.column_changes(LOG, b"") is None
