@@ -113,7 +113,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--claim {args.claim}: not an end-to-end metric ({', '.join(names)})")
 
     print("pair seed first " + " ".join(f"{n}(parent->change)" for n in names))
-    sides = {"parent": args.parent, "change": args.change}
+    # each run's working directory is its tree, so a relative path would miss
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs = []
     for k, seed in enumerate(args.seeds):
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]

@@ -41,12 +41,19 @@ def rank_top_n(scores: np.ndarray, excluded: np.ndarray, n: int) -> np.ndarray:
     if np.isnan(scores).any():
         raise ValueError("scores contain NaN")
     b, m = scores.shape
-    masked = np.where(excluded, -np.inf, scores)
-    # each row's n-th largest masked score; every unmasked item at or above
-    # it is a candidate, so all ties at the cut reach the sort
-    cut = m - min(n, m)
-    nth = masked[np.arange(b), np.argpartition(masked, cut, axis=1)[:, cut]]
-    cand_r, cand_i = np.nonzero(~excluded & (scores >= nth[:, None]))
+    kept = ~excluded
+    # a row's bound is the n-th largest maximum of ~8n disjoint column groups
+    # (the first `cut` columns laid out as `width` rows), each a distinct
+    # kept item's score: at most the n-th largest kept score, so the top n,
+    # ties included, are at or above it
+    width = max(1, m // (8 * n))
+    groups = m // width
+    cut = groups * width
+    group_max = np.max(scores[:, :cut].reshape(b, width, groups), axis=1, initial=-np.inf,
+                       where=kept[:, :cut].reshape(b, width, groups))
+    bound = (np.partition(group_max, groups - n, axis=1)[:, groups - n] if groups >= n
+             else np.full(b, -np.inf))
+    cand_r, cand_i = np.divmod(np.flatnonzero(kept & (scores >= bound[:, None])), m)
     order = np.lexsort((cand_i, -scores[cand_r, cand_i], cand_r))
     # the sort keeps the ascending cand_r in place, so a candidate's slot is
     # its distance from its row's first candidate

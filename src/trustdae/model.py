@@ -306,7 +306,9 @@ def predict_scores(params: ModelParams, train: SparseInteractions, users,
         pre_r = pre_r + user_vecs
         pre_t = pre_t + user_vecs
     fused = fuse(sigmoid(pre_r), sigmoid(pre_t), alpha)
-    return fused @ params.rating_dec_w.T + params.rating_dec_b
+    scores = fused @ params.rating_dec_w.T
+    scores += params.rating_dec_b
+    return scores
 
 
 def _block_row_sums(w: np.ndarray, train: SparseInteractions, users: np.ndarray,

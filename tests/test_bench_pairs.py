@@ -88,6 +88,15 @@ def test_sides_alternate(tmp_path, monkeypatch, capsys):
     assert "wins 0/3 (ties 3)" in capsys.readouterr().out
 
 
+def test_relative_trees_run(tmp_path, monkeypatch):
+    # run.py runs in its tree, so relative paths must be resolved first
+    fake_tree(tmp_path / "p", True)
+    fake_tree(tmp_path / "c", True)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", "p", "--change", "c", "--workload", "w",
+                             "--seeds", "1", "--seconds", "1"]) == 0
+
+
 def test_incorrect_run_stops(tmp_path):
     tree = fake_tree(tmp_path / "p", True)
     assert bench_pairs.run_once(tree, "w", 1, 1.0) == {"t": 1.0}

@@ -14,6 +14,22 @@ import bruteforce
 from conftest import ap_one, exclusion_mask, ndcg_one, rank_one, rank_rows
 
 
+def assert_block_matches_bruteforce(scores, train, n):
+    """`rank_top_n` of a (B, m) block, row r excluding the items of train[r],
+    leaves the scores as they were and lists each row as the brute-force sort."""
+    b, m = scores.shape
+    before = scores.copy()
+    top = td.rank_top_n(scores, exclusion_mask(train, m), n)
+    assert np.array_equal(scores, before)
+    assert top.shape == (b, n) and top.dtype == np.int64
+    for r in range(b):
+        excluded = set(np.asarray(train[r], dtype=np.int64).tolist())
+        length = min(n, m - len(excluded))
+        assert (top[r, length:] == -1).all()
+        assert top[r, :length].tolist() == bruteforce.rank_by_score(
+            scores[r].tolist(), excluded, n)
+
+
 class TestRankTopN:
     def test_decreasing_scores(self):
         scores = np.linspace(1, 0, 8)
@@ -69,23 +85,55 @@ class TestRankTopN:
     @settings(max_examples=200, deadline=None)
     def test_block_matches_bruteforce(self, seed):
         # integer scores for heavy ties, infinities that only the mask may
-        # exclude, repeated and empty positive sets, n up to past m
+        # exclude, repeated and empty positive sets, n up to past m, and
+        # empty blocks
         rng = np.random.default_rng(seed)
-        b, m = int(rng.integers(1, 8)), int(rng.integers(1, 25))
+        b, m = int(rng.integers(0, 8)), int(rng.integers(1, 25))
         n = int(rng.integers(1, m + 5))
         scores = rng.integers(0, 4, size=(b, m)).astype(float)
         scores[rng.random((b, m)) < 0.1] = -np.inf
         scores[rng.random((b, m)) < 0.05] = np.inf
         train = [rng.integers(0, m, size=rng.integers(0, m + 2)) for _ in range(b)]
-        before = scores.copy()
-        top = td.rank_top_n(scores, exclusion_mask(train, m), n)
-        assert np.array_equal(scores, before)
-        assert top.shape == (b, n) and top.dtype == np.int64
-        for r in range(b):
-            length = min(n, m - len(set(train[r].tolist())))
-            assert (top[r, length:] == -1).all()
-            assert top[r, :length].tolist() == bruteforce.rank_by_score(
-                scores[r].tolist(), set(train[r].tolist()), n)
+        assert_block_matches_bruteforce(scores, train, n)
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_wide_block_matches_bruteforce(self, seed):
+        # m >= 16n, so the cut is bounded by column groups of width >= 2,
+        # with the columns past the last full group in no group; ties,
+        # infinities and exclusion sets as above
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 51))
+        b, m = int(rng.integers(1, 7)), int(rng.integers(16 * n, 3001))
+        scores = rng.integers(0, 4, size=(b, m)).astype(float)
+        scores[rng.random((b, m)) < 0.1] = -np.inf
+        scores[rng.random((b, m)) < 0.05] = np.inf
+        train = [rng.integers(0, m, size=rng.integers(0, rng.choice([1, 3 * n, m + 2])))
+                 for _ in range(b)]
+        assert_block_matches_bruteforce(scores, train, n)
+
+    @pytest.mark.parametrize("m, n", [(37, 2), (500, 3), (1000, 7)])
+    def test_whole_row_ties_at_the_bound(self, m, n):
+        assert_block_matches_bruteforce(np.full((2, m), 0.5), [[], [0, 5, m - 1]], n)
+
+    @pytest.mark.parametrize("m, n", [(100, 1), (803, 4), (2000, 10)])
+    def test_every_group_maximum_excluded(self, m, n):
+        # distinct scores; each column group's maximum is excluded, so the
+        # bound comes from the groups' runners-up
+        scores = np.random.default_rng(m).permutation(m)[None, :].astype(float)
+        width = m // (8 * n)
+        g = m // width
+        groups = [np.arange(j, g * width, g) for j in range(g)]
+        best = [int(cols[np.argmax(scores[0, cols])]) for cols in groups]
+        assert width >= 2 and len(set(best)) == g
+        assert_block_matches_bruteforce(scores, [best], n)
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_fewer_groups_than_n(self, n):
+        # m = n - 1 columns make n - 1 groups of one, too few for a bound
+        m = n - 1
+        scores = np.random.default_rng(n).integers(0, 3, size=(3, m)).astype(float)
+        assert_block_matches_bruteforce(scores, [[], [0], list(range(m))], n)
 
 
 class TestKernelsAgainstHandValues:

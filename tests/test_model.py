@@ -186,6 +186,7 @@ class TestPredict:
         s = td.SparseInteractions(n, m, ratings, trusts)
         p = td.init_params(n, m, k, seed=seed, user_embedding=bool(rng.integers(0, 2)))
         p.rating_enc_b += rng.standard_normal(k)
+        p.rating_dec_b += rng.standard_normal(m)
         users = rng.integers(0, n, size=rng.integers(1, 2 * n + 1))
         alpha = float(rng.choice([0.0, 0.8, 1.0, rng.random()]))
         expect = per_user_logits(p, s, users, alpha)
