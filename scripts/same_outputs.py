@@ -30,9 +30,11 @@ import tempfile
 from pathlib import Path
 
 # configuration name -> --set overrides, applied to all three commands;
-# `distinct_decays` tells apart which tensors take which l2 coefficient, and
-# `wide` spreads about 6,000 items over 200 users, so each fold's evaluation
-# takes several score blocks
+# `distinct_decays` tells apart which tensors take which l2 coefficient,
+# `alpha0_beta0` adds the exactly-zero cross-view gradient to codes whose
+# fusion gradient alpha * g_fused can be -0.0, and `wide` spreads about
+# 6,000 items over 200 users, so each fold's evaluation takes several score
+# blocks
 CONFIGS = {
     "defaults": [],
     "pop": ["variant=pop"],
@@ -40,6 +42,7 @@ CONFIGS = {
     "user_embedding": ["user_embedding=1", "corruption=0.3"],
     "latent_dim_1": ["latent_dim=1"],
     "distinct_decays": ["weight_decay=0.05", "map_decay=0.002"],
+    "alpha0_beta0": ["alpha=0", "beta=0"],
     "wide": ["latent_dim=20", "top_n=20", "synth_items=6000", "synth_block_items=1500"],
 }
 

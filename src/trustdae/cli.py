@@ -20,6 +20,9 @@ from . import baselines, dataset, metrics, synth, trainer
 from .gradcheck import PATHS, run_suite
 from .model import Hyperparams, predict_scores, save_checkpoint
 
+# comma-separated list settings and the kind of each element
+_LISTS = {"bucket_edges": int, "alpha_grid": float, "beta_grid": float, "k_grid": int}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig(Hyperparams):
@@ -43,6 +46,26 @@ class ExperimentConfig(Hyperparams):
     synth_block_items: int = 60
     synth_p_rate: float = 0.3
     synth_p_trust: float = 0.1
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name in _LISTS:
+            self.list_values(name)
+        edges = self.list_values("bucket_edges")
+        if any(hi <= lo for lo, hi in zip(edges, edges[1:])):
+            raise ValueError("bucket_edges must be strictly increasing")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
+        if self.variant not in baselines.VARIANTS:
+            raise ValueError(f"variant must be one of {baselines.VARIANTS}, not {self.variant!r}")
+
+    def list_values(self, name: str) -> list:
+        """The parsed elements of the list setting `name` (see _LISTS)."""
+        text = getattr(self, name)
+        try:
+            return [_LISTS[name](tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise ValueError(f"bad value for {name}: {text!r}") from None
 
     def hyperparams(self) -> Hyperparams:
         return Hyperparams(**{f.name: getattr(self, f.name) for f in fields(Hyperparams)})
@@ -100,11 +123,7 @@ def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
         if key not in kinds:
             raise ConfigError(f"unknown key {key!r}")
         values[key] = _coerce(key, kinds[key], raw)
-    return ExperimentConfig(**values)  # validates the model fields
-
-
-def _grid(text: str, kind):
-    return [kind(tok) for tok in text.split(",") if tok.strip()]
+    return ExperimentConfig(**values)  # validates the settings
 
 
 @contextlib.contextmanager
@@ -147,7 +166,7 @@ def run_cross_validation(ds: dataset.Dataset, cfg: ExperimentConfig,
             raise RuntimeError(f"fold {fold} failed: {exc}") from exc
         print(f"fold {fold}: map@{cfg.top_n}={fold_metrics[-1].map_at_n:.4f} "
               f"ndcg@{cfg.top_n}={fold_metrics[-1].ndcg_at_n:.4f}")
-    edges = _grid(cfg.bucket_edges, int)
+    edges = cfg.list_values("bucket_edges")
     report = metrics.aggregate_folds(fold_metrics, bucket_edges=edges or None)
     return report, fold_metrics
 
@@ -210,9 +229,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    grids = [("alpha", _grid(cfg.alpha_grid, float)),
-             ("beta", _grid(cfg.beta_grid, float)),
-             ("latent_dim", _grid(cfg.k_grid, int))]
+    grids = [("alpha", cfg.list_values("alpha_grid")),
+             ("beta", cfg.list_values("beta_grid")),
+             ("latent_dim", cfg.list_values("k_grid"))]
     grids = [(name, vals) for name, vals in grids if vals]
     if not grids:
         print("sweep: no grid values configured", file=sys.stderr)

@@ -23,9 +23,9 @@ FD_STEP = 1e-5
 REL_TOL = 1e-4
 ABS_TOL = 1e-8
 
-# changes to the suite's default setup that take it down each forward/backward
-# path `train` can take: corrupted inputs, the per-user vector, and beta=0
-# (the tdae0 variant), where the cross-view maps get no data gradient
+# changes to the suite's default setup for each case of the one forward and
+# backward pass: corrupted inputs, the per-user vector, and beta=0 (the tdae0
+# variant), where the cross-view maps' data gradient is exactly zero
 PATHS = {"clean": {}, "corrupted": {"corruption": 0.3},
          "user_embedding": {"user_embedding": True}, "tdae0": {"beta": 0.0}}
 

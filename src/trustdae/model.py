@@ -32,9 +32,6 @@ _CKPT_MAGIC = b"TRDAECK1"
 # apiece at k=10), whatever the block
 ENCODE_CHUNK_ROWS = 4096
 
-# the cross-view maps, decayed with map_decay; every other tensor takes weight_decay
-MAP_TENSORS = ("map_trust_to_rating", "map_rating_to_trust")
-
 # each tensor's dimensions over the user count n, item count m and code size k,
 # in ModelParams' field order; a checkpoint must agree on n, m and k throughout
 _TENSOR_DIMS = {"rating_enc_w": "mk", "trust_enc_w": "nk", "rating_enc_b": "k",
@@ -139,14 +136,6 @@ class ModelParams:
     def norm(self) -> float:
         return float(np.sqrt(sum(float((a * a).sum()) for _, a in self.tensors())))
 
-    def decay_norms(self) -> tuple[float, float]:
-        """Squared l2 norms of the network tensors and of the cross-view maps."""
-        wd = sum(float((arr * arr).sum()) for name, arr in self.tensors()
-                 if name not in MAP_TENSORS)
-        md = (float((self.map_trust_to_rating ** 2).sum())
-              + float((self.map_rating_to_trust ** 2).sum()))
-        return wd, md
-
 
 class Row(NamedTuple):
     """A sparse binary row: nonzero positions, all sharing one value."""
@@ -225,20 +214,29 @@ def corrupt(indices: np.ndarray, q: float, rng: np.random.Generator) -> Row:
     return Row(indices[keep], 1.0 / (1.0 - q))
 
 
+def _codes(params: ModelParams, sum_r: np.ndarray, sum_t: np.ndarray,
+           users) -> tuple[np.ndarray, np.ndarray]:
+    """Sigmoid codes of both views from the encoders' input sums of one user
+    ((k,) sums, `users` an int) or of a block ((B, k) sums, `users` (B,)):
+    the biases and, when present, the per-user vectors are added."""
+    pre_r = sum_r + params.rating_enc_b[...]
+    pre_t = sum_t + params.trust_enc_b[...]
+    if params.user_vecs is not None:
+        if users is None:
+            raise ValueError("user index required when user_vecs are enabled")
+        user_vecs = params.user_vecs[users]
+        pre_r = pre_r + user_vecs
+        pre_t = pre_t + user_vecs
+    return sigmoid(pre_r), sigmoid(pre_t)
+
+
 def encode(params: ModelParams, rating_row: Row, trust_row: Row,
            user: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sigmoid codes of both views, accumulating only nonzero inputs."""
-    pre_r = params.rating_enc_w[rating_row.indices].sum(axis=0) * rating_row.value \
-        + params.rating_enc_b[...]
-    pre_t = params.trust_enc_w[trust_row.indices].sum(axis=0) * trust_row.value \
-        + params.trust_enc_b[...]
-    if params.user_vecs is not None:
-        if user is None:
-            raise ValueError("user index required when user_vecs are enabled")
-        user_vec = params.user_vecs[user]
-        pre_r = pre_r + user_vec
-        pre_t = pre_t + user_vec
-    return sigmoid(pre_r), sigmoid(pre_t)
+    return _codes(params,
+                  params.rating_enc_w[rating_row.indices].sum(axis=0) * rating_row.value,
+                  params.trust_enc_w[trust_row.indices].sum(axis=0) * trust_row.value,
+                  user)
 
 
 def fuse(z_rating: np.ndarray, z_trust: np.ndarray, alpha: float) -> np.ndarray:
@@ -293,20 +291,14 @@ def predict_scores(params: ModelParams, train: SparseInteractions, users,
     Ranking runs on these logits rather than on probabilities: sigmoid is
     monotone, and skipping it keeps apart logits whose float64
     probabilities round to one value (every logit above about 36.7 maps to 1.0).
-    The block is encoded at once, with the arithmetic of `encode` + `fuse`
-    on each row, so every fused code is bit-identical to the per-user one.
+    The block is encoded at once: its input sums follow `encode`'s order and
+    the two share `_codes`, so every fused code is bit-identical to the
+    per-user one.
     """
     users = np.asarray(users, dtype=np.int64)
-    pre_r = _block_row_sums(params.rating_enc_w, train, users, "rating") \
-        + params.rating_enc_b
-    pre_t = _block_row_sums(params.trust_enc_w, train, users, "trust") \
-        + params.trust_enc_b
-    if params.user_vecs is not None:
-        user_vecs = params.user_vecs[users]
-        pre_r = pre_r + user_vecs
-        pre_t = pre_t + user_vecs
-    fused = fuse(sigmoid(pre_r), sigmoid(pre_t), alpha)
-    scores = fused @ params.rating_dec_w.T
+    codes = _codes(params, _block_row_sums(params.rating_enc_w, train, users, "rating"),
+                   _block_row_sums(params.trust_enc_w, train, users, "trust"), users)
+    scores = fuse(*codes, alpha) @ params.rating_dec_w.T
     scores += params.rating_dec_b
     return scores
 

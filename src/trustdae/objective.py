@@ -15,9 +15,10 @@ Gradient derivation, with e = sigmoid(logit) - target per coordinate:
     d/d(enc_w row i) = input_value_i * g_pre   (zeroed inputs contribute nothing)
     d/d(M0) = -2*beta * outer(d_r, z_t), likewise M1.
 
-The l2 terms carry a 1/n share (n = params.n), as each of the trainer's
-per-user steps does, so a sweep over all users applies the global
-objective's l2 terms once per epoch.
+The l2 rule is kept here alone (`decay_coef`, `total_loss`): the
+cross-view maps take `map_decay`, every other tensor `weight_decay`, each
+at a 1/n share (n = params.n), as each of the trainer's per-user steps
+applies it, so a sweep over all users applies the l2 terms once per epoch.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MAP_TENSORS, ForwardTrace, Hyperparams, ModelParams, sigmoid
+from .model import ForwardTrace, Hyperparams, ModelParams, sigmoid
+
+# the cross-view maps, decayed with map_decay; every other tensor takes weight_decay
+MAP_TENSORS = ("map_trust_to_rating", "map_rating_to_trust")
 
 
 @dataclass
@@ -53,9 +57,18 @@ def correlative_term(z_rating: np.ndarray, z_trust: np.ndarray,
     return float(d_r @ d_r + d_t @ d_t)
 
 
-def loss_breakdown(hp: Hyperparams, rating_recon: float, trust_recon: float,
-                   corr: float, wd: float, md: float) -> LossBreakdown:
-    """The loss parts, decay norms already scaled, and their weighted total."""
+def decay_coef(hp: Hyperparams, name: str) -> float:
+    """The l2 coefficient of the tensor called `name`."""
+    return hp.map_decay if name in MAP_TENSORS else hp.weight_decay
+
+
+def total_loss(params: ModelParams, hp: Hyperparams, terms) -> LossBreakdown:
+    """The (rating, trust, cross-view) data `terms`, the 1/n share of the
+    squared l2 norms of `params`' two decay groups, and their weighted total."""
+    rating_recon, trust_recon, corr = terms
+    wd = sum(float((a * a).sum()) for name, a in params.tensors() if name not in MAP_TENSORS)
+    md = sum(float((a * a).sum()) for name, a in params.tensors() if name in MAP_TENSORS)
+    wd, md = wd / params.n, md / params.n
     total = (rating_recon + trust_recon + hp.beta * corr
              + 0.5 * hp.weight_decay * wd + 0.5 * hp.map_decay * md)
     return LossBreakdown(rating_recon, trust_recon, corr, wd, md, total)
@@ -75,48 +88,39 @@ def data_terms(params, trace: ForwardTrace) -> tuple[float, float, float]:
 def user_loss(params: ModelParams, hp: Hyperparams, trace: ForwardTrace) -> LossBreakdown:
     """Loss of one user over the sampled coordinates and targets of `trace`,
     with the 1/n share of the l2 terms."""
-    wd, md = params.decay_norms()
-    return loss_breakdown(hp, *data_terms(params, trace), wd / params.n, md / params.n)
+    return total_loss(params, hp, data_terms(params, trace))
 
 
 def backprop_core(params, hp: Hyperparams,
                   trace: ForwardTrace) -> list[tuple[str, object, np.ndarray]]:
     """Data gradient of one user's reconstruction + cross-view loss.
 
-    The one backward pass of training and the gradient check. Decay is
+    The one backward pass of training and the gradient check, for every
+    alpha and beta; at beta = 0 the maps' pieces are exactly zero. Decay is
     left out: the trainer applies it multiplicatively and `user_gradients`
-    adds it densely. Returns (tensor name, rows, values) pieces, where
-    rows is an index array, one row, or `...` for the whole tensor, and
-    values may be one (k,) row shared by all the piece's rows (the encoder
-    weights, whose inputs all carry one value); a tensor absent from the
-    list has no data gradient. `params` may be any store the forward pass
-    reads. Target indices within each view must be distinct (observed and
-    sampled sets are disjoint by construction), otherwise the row updates
-    would collide.
+    adds it densely. Returns one (tensor name, rows, values) piece per
+    present tensor, where rows is an index array, one row, or `...` for
+    the whole tensor, and values may be one (k,) row shared by all the
+    piece's rows (the encoder weights, whose inputs all carry one value).
+    `params` may be any store the forward pass reads. Target indices
+    within each view must be distinct (observed and sampled sets are
+    disjoint by construction), otherwise the row updates would collide.
     """
     e_r = sigmoid(trace.rating_logit) - trace.rating_y
     e_t = sigmoid(trace.trust_logit) - trace.trust_y
     z_r, z_t, fused = trace.z_rating, trace.z_trust, trace.fused
     g_fused = trace.rating_dec_rows.T @ e_r + trace.trust_dec_rows.T @ e_t
 
-    pieces = []
-    if hp.beta != 0.0:
-        m0 = params.map_trust_to_rating[...]
-        m1 = params.map_rating_to_trust[...]
-        d_r = z_r - m0 @ z_t
-        d_t = z_t - m1 @ z_r
-        g_zr = hp.alpha * g_fused + 2.0 * hp.beta * (d_r - m1.T @ d_t)
-        g_zt = (1.0 - hp.alpha) * g_fused + 2.0 * hp.beta * (d_t - m0.T @ d_r)
-        pieces += [("map_trust_to_rating", ..., -2.0 * hp.beta * np.outer(d_r, z_t)),
-                   ("map_rating_to_trust", ..., -2.0 * hp.beta * np.outer(d_t, z_r))]
-    else:
-        g_zr = hp.alpha * g_fused
-        g_zt = (1.0 - hp.alpha) * g_fused
-
+    m0 = params.map_trust_to_rating[...]
+    m1 = params.map_rating_to_trust[...]
+    d_r = z_r - m0 @ z_t
+    d_t = z_t - m1 @ z_r
+    g_zr = hp.alpha * g_fused + 2.0 * hp.beta * (d_r - m1.T @ d_t)
+    g_zt = (1.0 - hp.alpha) * g_fused + 2.0 * hp.beta * (d_t - m0.T @ d_r)
     g_pre_r = g_zr * z_r * (1.0 - z_r)
     g_pre_t = g_zt * z_t * (1.0 - z_t)
     rating_in, trust_in = trace.rating_in, trace.trust_in
-    pieces += [
+    pieces = [
         ("rating_enc_w", rating_in.indices, rating_in.value * g_pre_r),
         ("trust_enc_w", trust_in.indices, trust_in.value * g_pre_t),
         ("rating_enc_b", ..., g_pre_r),
@@ -125,6 +129,8 @@ def backprop_core(params, hp: Hyperparams,
         ("rating_dec_b", trace.rating_idx, e_r),
         ("trust_dec_w", trace.trust_idx, e_t[:, None] * fused[None, :]),
         ("trust_dec_b", trace.trust_idx, e_t),
+        ("map_trust_to_rating", ..., -2.0 * hp.beta * np.outer(d_r, z_t)),
+        ("map_rating_to_trust", ..., -2.0 * hp.beta * np.outer(d_t, z_r)),
     ]
     if params.user_vecs is not None:
         pieces.append(("user_vecs", trace.user, g_pre_r + g_pre_t))
@@ -133,9 +139,7 @@ def backprop_core(params, hp: Hyperparams,
 
 def user_gradients(params: ModelParams, hp: Hyperparams, trace: ForwardTrace) -> ModelParams:
     """Dense exact gradient of `user_loss`, one array per model tensor."""
-    lam_w = hp.weight_decay / params.n
-    lam_m = hp.map_decay / params.n
-    grads = ModelParams(**{name: (lam_m if name in MAP_TENSORS else lam_w) * arr
+    grads = ModelParams(**{name: decay_coef(hp, name) / params.n * arr
                            for name, arr in params.tensors()})
     for name, rows, vals in backprop_core(params, hp, trace):
         getattr(grads, name)[rows] += vals

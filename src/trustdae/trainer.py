@@ -23,9 +23,8 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .model import (MAP_TENSORS, ForwardTrace, Hyperparams, ModelParams, corrupt,
-                    forward_sampled, init_params)
-from .objective import LossBreakdown, backprop_core, data_terms, loss_breakdown
+from .model import ForwardTrace, Hyperparams, ModelParams, corrupt, forward_sampled, init_params
+from .objective import LossBreakdown, backprop_core, data_terms, decay_coef, total_loss
 # looked up here by the benchmark's span tracer (cvbench/tracing.py)
 from .objective import correlative_term, logistic_loss  # noqa: F401
 from .sparse import SparseInteractions
@@ -83,13 +82,14 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng((seed,) + key)
 
 
-def _seed_states(key: tuple[int, int, int], users: np.ndarray) -> np.ndarray:
+def _seed_states(key: tuple[int, ...], users: np.ndarray) -> np.ndarray:
     """`SeedSequence(key + (u,)).generate_state(4, np.uint64)` for every u
     in `users`, one row each, in uint32 arithmetic on all users at once.
 
-    Every word of `key` and `users` must be below 2**32: the four words
-    then fill SeedSequence's pool of four exactly, with no padding or
-    extra words.
+    As SeedSequence does, each int is read as its little-endian 32-bit
+    words (0 as one word); the first four words fill the pool, and each
+    word past the fourth is then mixed into every pool word. `key` holds
+    three ints or more, and every user is below 2**32, one word.
     """
     u32 = np.uint32
     hash_a = _INIT_A
@@ -106,12 +106,17 @@ def _seed_states(key: tuple[int, int, int], users: np.ndarray) -> np.ndarray:
         return value ^ (value >> u32(16))
 
     users = np.asarray(users, dtype=np.uint32)
-    pool = [hashmix(np.full(len(users), word, dtype=np.uint32)) for word in key]
-    pool.append(hashmix(users))
+    words = [np.full(len(users), value >> shift & _MASK32, dtype=np.uint32)
+             for value in key for shift in range(0, max(value.bit_length(), 1), 32)]
+    words.append(users)
+    pool = [hashmix(word) for word in words[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
     out = np.empty((len(users), 8), dtype=np.uint32)
     hash_b = _INIT_B
     for i in range(8):
@@ -129,11 +134,8 @@ def _user_streams(seed: int, tag: int, epoch: int, n: int):
     Every call returns the same generator, re-seated, so each call spends
     the one before. The PCG64 state is what `pcg64_set_seed` makes of row
     u of `_seed_states`: inc = 2*initseq + 1; from state 0, one LCG step,
-    add initstate, one more step. A key word of 2**32 or more makes
-    SeedSequence read more words, so such keys fall back to `stream`.
+    add initstate, one more step.
     """
-    if max(seed, tag, epoch) > _MASK32:
-        return lambda u: stream(seed, tag, epoch, u)
     states = _seed_states((seed, tag, epoch), np.arange(n))
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
@@ -177,11 +179,8 @@ class _ScaledParams:
     each with its per-step decay factor 1 - lr*lam/n."""
 
     def __init__(self, params: ModelParams, hp: Hyperparams):
-        n = params.n
-        decay_w = 1.0 - hp.lr * hp.weight_decay / n
-        decay_m = 1.0 - hp.lr * hp.map_decay / n
         self.user_vecs = None
-        self._tensors = [(name, _Scaled(arr, decay_m if name in MAP_TENSORS else decay_w))
+        self._tensors = [(name, _Scaled(arr, 1.0 - hp.lr * decay_coef(hp, name) / params.n))
                          for name, arr in params.tensors()]
         for name, s in self._tensors:
             setattr(self, name, s)
@@ -276,8 +275,7 @@ def train(train_data: SparseInteractions, hp: Hyperparams,
             sums = [total + term for total, term in zip(sums, terms)]
 
         params = scaled.snapshot()
-        wd, md = params.decay_norms()
-        epoch_loss = loss_breakdown(hp, *(total / n for total in sums), wd / n, md / n)
+        epoch_loss = total_loss(params, hp, [total / n for total in sums])
         if not np.isfinite(epoch_loss.total):
             raise TrainingError(f"non-finite parameters after epoch {epoch}")
         log.epochs.append(EpochStats(epoch=epoch, loss=epoch_loss,

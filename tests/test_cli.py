@@ -122,6 +122,29 @@ class TestCommands:
         cli.main(["preprocess"] + args)
         assert cli.main(["sweep"] + args) == 1
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("setting", [
+        "bucket_edges=5,20,x", "bucket_edges=20,5", "alpha_grid=0.5,a", "beta_grid=b",
+        "k_grid=4.5", "checkpoint_every=-2", "variant=bogus"])
+    def test_bad_setting_fails_before_any_fold_trains(self, tmp_path, capsys, monkeypatch,
+                                                       command, setting):
+        args = small_synth_args(tmp_path, epochs="1")
+        cli.main(["synth"] + args)
+        cli.main(["preprocess"] + args)
+        train, trained = cli.trainer.train, []
+
+        def recording_train(*a, **kw):
+            trained.append(a)
+            return train(*a, **kw)
+
+        monkeypatch.setattr(cli.trainer, "train", recording_train)
+        capsys.readouterr()
+        # the sweep has a valid grid, unless `setting` replaces it
+        assert cli.main([command] + args + ["--set=beta_grid=0.02", f"--set={setting}"]) == 1
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert trained == []
+        assert not (tmp_path / "out").exists()
+
     def test_gradcheck(self, capsys):
         assert cli.main(["gradcheck", "--set=seed=0"]) == 0
         out = capsys.readouterr().out

@@ -6,6 +6,7 @@ import pytest
 import trustdae as td
 from trustdae.gradcheck import compare, fd_gradients, random_instance, run_suite
 from trustdae.model import Row, forward_sampled
+from trustdae.objective import MAP_TENSORS, backprop_core
 
 
 def empty_targets():
@@ -188,6 +189,20 @@ class TestUserGradients:
         grads = td.user_gradients(params, hp, trace)
         for _, arr in grads.tensors():
             assert np.all(arr == 0.0)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.01])
+    @pytest.mark.parametrize("user_embedding", [False, True])
+    def test_one_piece_per_present_tensor(self, beta, user_embedding):
+        # one backward pass for every beta: at beta = 0 the maps still get
+        # their piece, and it is exactly zero
+        hp = td.Hyperparams(latent_dim=4, beta=beta, user_embedding=user_embedding)
+        params, trace = random_instance(hp, seed=23)
+        pieces = backprop_core(params, hp, trace)
+        names = sorted(name for name, _, _ in pieces)
+        assert names == sorted(name for name, _ in params.tensors())
+        maps = [vals for name, _, vals in pieces if name in MAP_TENSORS]
+        assert len(maps) == 2
+        assert all(np.all(vals == 0.0) for vals in maps) == (beta == 0.0)
 
     def test_bit_identical_evaluations(self):
         hp, params, trace = make_setup(seed=17)

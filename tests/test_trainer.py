@@ -87,7 +87,8 @@ class TestTrain:
         _, log = td.train(train_set, hp)
         assert all(e.param_norm <= 100 * init_norm for e in log.epochs)
 
-    # seed 2**40 takes two entropy words, so training falls back to `stream`
+    # seed 2**40 takes two entropy words, so the user's word lies past
+    # SeedSequence's pool of four
     @pytest.mark.parametrize("seed", [3, 2**40], ids=["small_seed", "seed_2_40"])
     def test_logged_loss_is_mean_training_step_loss(self, seed):
         # with lr=0 the parameters never move, so every step's loss is the
@@ -173,6 +174,9 @@ class TestUserStreams:
     def test_states_equal_seed_sequence(self):
         rng = np.random.default_rng(11)
         keys = [(0, 0, 0), (2**32 - 1, 2, 2**32 - 1), (5, 1, 3)]
+        # keys of more than four words in all, whose words past the pool are
+        # mixed in afterwards
+        keys += [(2**32, 1, 0), (2**40, 5, 3), (2**64 + 9, 0, 2**32 + 1)]
         keys += [tuple(rng.integers(0, 2**32, size=3).tolist()) for _ in range(20)]
         for key in keys:
             users = [0, 1, 2**32 - 1] + rng.integers(0, 2**32, size=20).tolist()
@@ -183,7 +187,7 @@ class TestUserStreams:
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40, 7, 2_894_012_311])
     def test_reseated_generator_draws_as_stream(self, seed):
-        # one generator serves every user in turn; 2**32 and up fall back
+        # one generator serves every user in turn, whatever the seed's word count
         n = 70_001
         for tag, epoch in [(_ITEM_NEG, 0), (_CORRUPT, 49), (_USER_NEG, 2**31 + 5)]:
             seat = _user_streams(seed, tag, epoch, n)
