@@ -34,7 +34,9 @@ from pathlib import Path
 # `alpha0_beta0` adds the exactly-zero cross-view gradient to codes whose
 # fusion gradient alpha * g_fused can be -0.0, and `wide` spreads about
 # 6,000 items over 200 users, so each fold's evaluation takes several score
-# blocks
+# blocks, and in `dense` most rows are over a quarter full, so negatives
+# come from the enumerated complement, and some rejection-sampled rows need
+# more than one draw
 CONFIGS = {
     "defaults": [],
     "pop": ["variant=pop"],
@@ -44,6 +46,8 @@ CONFIGS = {
     "distinct_decays": ["weight_decay=0.05", "map_decay=0.002"],
     "alpha0_beta0": ["alpha=0", "beta=0"],
     "wide": ["latent_dim=20", "top_n=20", "synth_items=6000", "synth_block_items=1500"],
+    "dense": ["synth_communities=2", "synth_items=120", "synth_block_items=60",
+              "synth_p_rate=0.7", "synth_p_trust=0.6"],
 }
 
 _ELAPSED = re.compile(rb" \(\d+\.\d+s\)$", re.MULTILINE)

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .model import Hyperparams, ModelParams, forward_sampled, init_params
 from .objective import user_gradients, user_loss
 from .sparse import SparseInteractions
-from .trainer import _user_trace
+from .trainer import _CORRUPT, _ITEM_NEG, _USER_NEG, _samples, stream
 
 # central-difference step and the pass rule of `compare`
 FD_STEP = 1e-5
@@ -114,13 +115,15 @@ def random_store(rng: np.random.Generator) -> SparseInteractions:
 def random_instance(hp: Hyperparams, seed: int):
     """(params, trace): params of `hp`'s latent_dim and user_embedding over a
     random store, and one random user's training sample and forward pass,
-    built as the trainer builds it, with every draw from one stream."""
+    built as the trainer builds it, from the keyed streams of epoch 0."""
     rng = np.random.default_rng(seed)
     store = random_store(rng)
     params = init_params(store.n, store.m, hp.latent_dim, seed=seed,
                          user_embedding=hp.user_embedding)
     u = int(rng.integers(0, store.n))
-    return params, _user_trace(params, store, hp, u, rng, rng, rng)
+    seats = [partial(stream, seed, tag, 0) for tag in (_ITEM_NEG, _USER_NEG, _CORRUPT)]
+    sample = next(_samples(store, hp.corruption, [u], seats))
+    return params, forward_sampled(params, hp, *sample, u)
 
 
 def run_suite(instances: int = 20, seed0: int = 0, **changes) -> GradCheckReport:

@@ -202,16 +202,19 @@ def init_params(n: int, m: int, k: int, seed: int,
     )
 
 
-def corrupt(indices: np.ndarray, q: float, rng: np.random.Generator) -> Row:
+def corrupt(indices: np.ndarray, q: float, draws) -> Row:
     """Drop each nonzero coordinate with probability q, rescale survivors.
 
-    Survivors carry 1/(1-q) so the corrupted row is unbiased. Exactly
-    len(indices) uniforms are consumed even at q=0, which keeps stream
-    consumption a function of the row length alone.
+    A coordinate survives when its uniform is at least q; survivors carry
+    1/(1-q) so the corrupted row is unbiased. `draws` is a generator, from
+    which exactly len(indices) uniforms are taken even at q=0, which keeps
+    stream consumption a function of the row length alone, or those
+    uniforms, already drawn.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    keep = rng.random(len(indices)) >= q
-    return Row(indices[keep], 1.0 / (1.0 - q))
+    if isinstance(draws, np.random.Generator):
+        draws = draws.random(len(indices))
+    return Row(indices[draws >= q], 1.0 / (1.0 - q))
 
 
 def _codes(params: ModelParams, sum_r: np.ndarray, sum_t: np.ndarray,

@@ -4,7 +4,9 @@ Rows are stored CSR-style (offset array plus sorted column indices), so
 iterating a user's positives is a slice and the sampler's membership test
 is a binary search.
 Negative sampling draws uniformly without replacement from the complement
-of a row, sized to match the row itself.
+of a row, sized to match the row itself. `sample_complement` defines one
+row's sample; the store samples many rows at once, one generator call per
+row, with the same values.
 """
 
 from __future__ import annotations
@@ -50,9 +52,12 @@ def sample_complement(rng: np.random.Generator, domain: int,
     sampling with a binary-search membership test; dense rows fall back to
     materializing the complement.
     """
+    n_pos = len(positives)
+    if not 0 <= size <= domain - n_pos:
+        raise ValueError(f"cannot draw {size} of the {domain - n_pos} values "
+                         f"free in a domain of {domain} with {n_pos} positives")
     if size == 0:
         return np.empty(0, dtype=np.int64)
-    n_pos = len(positives)
     if n_pos > _REJECTION_OCCUPANCY * domain:
         complement = np.setdiff1d(np.arange(domain, dtype=np.int64),
                                   positives, assume_unique=True)
@@ -76,6 +81,21 @@ def sample_complement(rng: np.random.Generator, domain: int,
             if taken == size:
                 break
     return out
+
+
+def negative_sizes(lengths: np.ndarray, domain: int) -> np.ndarray:
+    """Negatives sampled for rows of `lengths` positives: as many as the
+    row holds, or the whole complement if that is smaller."""
+    return np.minimum(lengths, domain - lengths)
+
+
+def negative_draws(lengths: np.ndarray, domain: int) -> np.ndarray:
+    """How many values `sample_complement`'s first generator call draws for
+    rows of `lengths` positives: max(16, 2*size) by rejection, size from an
+    enumerated complement, none when the size is 0."""
+    size = negative_sizes(lengths, domain)
+    draws = np.where(lengths > _REJECTION_OCCUPANCY * domain, size, np.maximum(16, 2 * size))
+    return np.where(size > 0, draws, 0)
 
 
 class SparseInteractions:
@@ -128,10 +148,64 @@ class SparseInteractions:
         _, cols, _ = self._select(which)
         return len(cols)
 
-    def sample_item_negatives(self, u: int, rng: np.random.Generator) -> np.ndarray:
-        row = self.row(u, "rating")
-        return sample_complement(rng, self.m, row, min(len(row), self.m - len(row)))
+    def sample_item_negatives(self, users, seat) -> np.ndarray:
+        """`sample_complement` of each of `users`' rating rows, sized as the
+        row or its complement if smaller, laid end to end in user order;
+        `seat(u)` returns u's generator at the start of its stream."""
+        return self._sample_negatives(users, seat, "rating")
 
-    def sample_user_negatives(self, u: int, rng: np.random.Generator) -> np.ndarray:
-        row = self.row(u, "trust")
-        return sample_complement(rng, self.n, row, min(len(row), self.n - len(row)))
+    def sample_user_negatives(self, users, seat) -> np.ndarray:
+        """As `sample_item_negatives`, over the trust rows."""
+        return self._sample_negatives(users, seat, "trust")
+
+    def _sample_negatives(self, users, seat, which: str) -> np.ndarray:
+        """Each row makes `sample_complement`'s first generator call, so draws
+        the same values. Rows over a quarter full choose from their
+        complement, read off one (rows, domain) mask, which is at most four
+        bytes per positive. The rejection draws of all rows are filtered at once:
+        in one stable sort of the rows' positive keys `owner*domain + col`
+        followed by the draw keys, a draw is accepted exactly when it leads
+        its run of equal keys, being neither a positive nor a repeat. A row
+        keeps its first `size` accepted draws; a row whose first call falls
+        short is re-seated and drawn by `sample_complement` itself."""
+        indptr, _, domain = self._select(which)
+        users = np.asarray(users, dtype=np.int64)
+        lengths = indptr[users + 1] - indptr[users]
+        sizes = negative_sizes(lengths, domain)
+        draws = negative_draws(lengths, domain)
+        starts = np.cumsum(sizes) - sizes
+        out = np.empty(int(sizes.sum()), dtype=np.int64)
+        enumerated = lengths > _REJECTION_OCCUPANCY * domain
+        listed = np.flatnonzero(enumerated & (sizes > 0))
+        if len(listed):
+            # row r of `free` marks the complement of users[listed[r]]'s row
+            free = np.ones((len(listed), domain), dtype=bool)
+            free[self.rows(users[listed], which)] = False
+            for row, r in zip(free, listed.tolist()):
+                size, at = int(sizes[r]), int(starts[r])
+                out[at:at + size] = seat(int(users[r])).choice(np.flatnonzero(row), size=size,
+                                                               replace=False)
+        rejected = np.flatnonzero(~enumerated & (sizes > 0))
+        if not len(rejected):
+            return out
+        counts = draws[rejected]
+        drawn = np.concatenate([seat(u).integers(0, domain, size=d) for u, d in
+                                zip(users[rejected].tolist(), counts.tolist())])
+        owner = np.repeat(np.arange(len(rejected)), counts)
+        pos_owner, pos_cols = self.rows(users[rejected], which)
+        keys = np.concatenate([pos_owner * domain + pos_cols, owner * domain + drawn])
+        order = np.argsort(keys, kind="stable")
+        leads = np.empty(len(keys), dtype=bool)
+        leads[order] = np.concatenate([[True], np.diff(keys[order]) != 0])
+        accepted = leads[len(pos_cols):]
+        taken = np.cumsum(accepted)
+        ends = np.cumsum(counts)
+        before = np.concatenate([[0], taken[ends[:-1] - 1]])
+        rank = taken - 1 - np.repeat(before, counts)
+        keep = accepted & (rank < np.repeat(sizes[rejected], counts))
+        out[(starts[rejected][owner] + rank)[keep]] = drawn[keep]
+        short = taken[ends - 1] - before < sizes[rejected]
+        for r in rejected[short].tolist():
+            u, size, at = int(users[r]), int(sizes[r]), int(starts[r])
+            out[at:at + size] = sample_complement(seat(u), domain, self.row(u, which), size)
+        return out

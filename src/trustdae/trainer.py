@@ -8,6 +8,14 @@ differ only in loss coefficients consume randomness identically.
 each epoch computes every user's SeedSequence state at once and re-seats
 one generator per purpose from it, which draws exactly as `stream` would.
 
+An epoch's samples are built ahead of its steps, a chunk of users at a
+time in epoch order (`SAMPLE_CHUNK_DRAWS` bounds a chunk): each user's
+streams make exactly the generator calls of `sample_complement` and
+`corrupt` on its rows, and the filtering, corruption masks and targets
+around them are computed for the whole chunk at once. The per-user loop
+only slices the chunk's arrays, so the draws and every step are those of
+building each sample on its own.
+
 l2 decay is folded into a per-tensor scale factor: one multiplication per
 user step instead of a full-matrix subtraction, so the per-epoch cost
 stays proportional to the interaction count times the latent dimension.
@@ -23,11 +31,11 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .model import ForwardTrace, Hyperparams, ModelParams, corrupt, forward_sampled, init_params
+from .model import ForwardTrace, Hyperparams, ModelParams, Row, corrupt, forward_sampled, init_params
 from .objective import LossBreakdown, backprop_core, data_terms, decay_coef, total_loss
 # looked up here by the benchmark's span tracer (cvbench/tracing.py)
 from .objective import correlative_term, logistic_loss  # noqa: F401
-from .sparse import SparseInteractions
+from .sparse import SparseInteractions, negative_draws, negative_sizes
 
 # purpose tags for the keyed streams; the values are part of every stream
 # key, so renumbering them changes the negatives, corruption and shuffle
@@ -41,6 +49,11 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier (O'Neill, "PCG", 2014)
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+# the users whose samples are built together make at most this many draws
+# (negatives' first draws and corruption uniforms) before their last user;
+# a chunk's arrays take about 40 bytes a draw
+SAMPLE_CHUNK_DRAWS = 2**14
 
 # a tensor's scale is folded into its array once it falls below this, long
 # before lr/scale can overflow (Bottou, "Stochastic Gradient Descent
@@ -209,20 +222,70 @@ def per_user_cost(train: SparseInteractions, hp: Hyperparams) -> int:
     return total
 
 
-def _user_trace(params, data: SparseInteractions, hp: Hyperparams, u: int,
-                rng_items, rng_users, rng_corrupt) -> ForwardTrace:
-    """User u's forward pass on `params`: clean binary targets over the
-    observed positives plus fresh negatives, the corrupted rows as inputs."""
-    pos_r, pos_t = data.row(u, "rating"), data.row(u, "trust")
-    neg_r = data.sample_item_negatives(u, rng_items)
-    neg_t = data.sample_user_negatives(u, rng_users)
-    targets_r = (np.concatenate([pos_r, neg_r]),
-                 np.concatenate([np.ones(len(pos_r)), np.zeros(len(neg_r))]))
-    targets_t = (np.concatenate([pos_t, neg_t]),
-                 np.concatenate([np.ones(len(pos_t)), np.zeros(len(neg_t))]))
-    rating_in = corrupt(pos_r, hp.corruption, rng_corrupt)
-    trust_in = corrupt(pos_t, hp.corruption, rng_corrupt)
-    return forward_sampled(params, hp, rating_in, trust_in, targets_r, targets_t, u)
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions starts[i] + j for j < lengths[i], laid end to end."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
+def _chunk_samples(data: SparseInteractions, q: float, users: np.ndarray, seats):
+    """`_samples` of a chunk of one user or more: per view, the targets
+    (positives, then negatives) of every user laid end to end; the positives
+    of both views (rating row, then trust row) laid end to end likewise for
+    corruption; then one slice of each per user."""
+    items, others, noise = seats
+    targets, positives = [], []
+    for which, domain, sample, seat in (("rating", data.m, data.sample_item_negatives, items),
+                                        ("trust", data.n, data.sample_user_negatives, others)):
+        negatives = sample(users, seat)
+        owner, cols = data.rows(users, which)
+        lengths = np.bincount(owner, minlength=len(users))
+        sizes = negative_sizes(lengths, domain)
+        edges = np.concatenate([[0], np.cumsum(lengths + sizes)])
+        idx, y = np.empty(edges[-1], dtype=np.int64), np.zeros(edges[-1])
+        at = _spans(edges[:-1], lengths)
+        idx[at], y[at] = cols, 1.0
+        idx[_spans(edges[:-1] + lengths, sizes)] = negatives
+        targets.append((idx, y, edges.tolist()))
+        positives.append((cols, lengths))
+    (pos_r, len_r), (pos_t, len_t) = positives
+    edges = np.concatenate([[0], np.cumsum(len_r + len_t)])
+    cols = np.empty(edges[-1], dtype=np.int64)
+    cols[_spans(edges[:-1], len_r)] = pos_r
+    cols[_spans(edges[:-1] + len_r, len_t)] = pos_t
+    uniforms = [noise(u).random(k) for u, k in zip(users.tolist(), (len_r + len_t).tolist()) if k]
+    kept = corrupt(np.arange(edges[-1]), q, np.concatenate([np.empty(0), *uniforms]))
+    inputs = cols[kept.indices]
+    cut_r = np.searchsorted(kept.indices, edges[:-1] + len_r).tolist()
+    cut = np.searchsorted(kept.indices, edges).tolist()
+    (idx_r, y_r, at_r), (idx_t, y_t, at_t) = targets
+    for i in range(len(users)):
+        yield (Row(inputs[cut[i]:cut_r[i]], kept.value),
+               Row(inputs[cut_r[i]:cut[i + 1]], kept.value),
+               (idx_r[at_r[i]:at_r[i + 1]], y_r[at_r[i]:at_r[i + 1]]),
+               (idx_t[at_t[i]:at_t[i + 1]], y_t[at_t[i]:at_t[i + 1]]))
+
+
+def _samples(data: SparseInteractions, q: float, users, seats):
+    """Each of `users`' training sample in turn, as `forward_sampled` takes
+    it: the rating and trust rows corrupted at rate q as inputs, and per
+    view the clean binary targets over the row's positives and fresh
+    negatives.
+
+    `seats` = (items, others, noise): u -> u's generator at the start of its
+    item-negative, user-negative or corruption stream. Each user's streams
+    make the calls of `sample_complement` and `corrupt` on its rows, so the
+    draws are the same, but the samples are built a chunk of users at a
+    time, each chunk of about SAMPLE_CHUNK_DRAWS draws or one user.
+    """
+    users = np.asarray(users, dtype=np.int64)
+    len_r, len_t = data.counts("rating")[users], data.counts("trust")[users]
+    draws = (len_r + len_t + negative_draws(len_r, data.m)
+             + negative_draws(len_t, data.n))
+    chunk = (np.cumsum(draws) - draws) // SAMPLE_CHUNK_DRAWS
+    for part in np.split(users, np.flatnonzero(np.diff(chunk)) + 1):
+        if len(part):
+            yield from _chunk_samples(data, q, part, seats)
 
 
 def _user_step(store: _ScaledParams, hp: Hyperparams,
@@ -265,11 +328,11 @@ def train(train_data: SparseInteractions, hp: Hyperparams,
         tic = time.perf_counter()
         sums = [0.0, 0.0, 0.0]
         order = stream(hp.seed, _SHUFFLE, epoch).permutation(n)
-        items, users, noise = (_user_streams(hp.seed, tag, epoch, n)
-                               for tag in (_ITEM_NEG, _USER_NEG, _CORRUPT))
-        for u in order.tolist():
-            trace = _user_trace(scaled, train_data, hp, u, items(u), users(u), noise(u))
-            terms = _user_step(scaled, hp, trace)
+        seats = [_user_streams(hp.seed, tag, epoch, n)
+                 for tag in (_ITEM_NEG, _USER_NEG, _CORRUPT)]
+        samples = _samples(train_data, hp.corruption, order, seats)
+        for u, sample in zip(order.tolist(), samples, strict=True):
+            terms = _user_step(scaled, hp, forward_sampled(scaled, hp, *sample, u))
             if not np.isfinite(sum(terms)):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, user {u}")
             sums = [total + term for total, term in zip(sums, terms)]

@@ -1,7 +1,13 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trustdae import sparse
 from trustdae.sparse import SparseInteractions, sample_complement
+from trustdae.trainer import _user_streams, stream
 
 from conftest import make_tiny_store
 
@@ -67,7 +73,8 @@ class TestNegativeSampling:
     def test_sizes_and_disjointness(self):
         s = store_with(4, 1000, [(0, i) for i in range(4)], [(0, 1), (0, 2)])
         rng = np.random.default_rng(0)
-        items, users = s.sample_item_negatives(0, rng), s.sample_user_negatives(0, rng)
+        items = s.sample_item_negatives([0], lambda u: rng)
+        users = s.sample_user_negatives([0], lambda u: rng)
         assert len(items) == 4 and len(users) == 2
         assert not set(items.tolist()) & {0, 1, 2, 3}
         assert not set(users.tolist()) & {1, 2}
@@ -76,28 +83,31 @@ class TestNegativeSampling:
     def test_empty_positive_set(self):
         s = store_with(3, 5, [(0, 1)])
         rng = np.random.default_rng(1)
-        items, users = s.sample_item_negatives(2, rng), s.sample_user_negatives(2, rng)
+        items = s.sample_item_negatives([2], lambda u: rng)
+        users = s.sample_user_negatives([2], lambda u: rng)
         assert len(items) == 0 and len(users) == 0
 
     def test_complement_exhaustion(self):
         # more positives than free slots: the whole complement is returned
         s = store_with(1, 6, [(0, i) for i in range(4)])
-        neg = s.sample_item_negatives(0, np.random.default_rng(2))
+        neg = s.sample_item_negatives([0], lambda u: np.random.default_rng(2))
         assert sorted(neg.tolist()) == [4, 5]
 
     def test_same_seed_same_samples(self):
         s = make_tiny_store(seed=5)
         rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
-        a = (s.sample_item_negatives(1, rng_a), s.sample_user_negatives(1, rng_a))
-        b = (s.sample_item_negatives(1, rng_b), s.sample_user_negatives(1, rng_b))
+        a = (s.sample_item_negatives([1], lambda u: rng_a),
+             s.sample_user_negatives([1], lambda u: rng_a))
+        b = (s.sample_item_negatives([1], lambda u: rng_b),
+             s.sample_user_negatives([1], lambda u: rng_b))
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
     def test_fresh_sample_per_call(self):
         s = store_with(1, 500, [(0, i) for i in range(8)])
         rng = np.random.default_rng(3)
-        a = s.sample_item_negatives(0, rng)
-        b = s.sample_item_negatives(0, rng)
+        a = s.sample_item_negatives([0], lambda u: rng)
+        b = s.sample_item_negatives([0], lambda u: rng)
         assert not np.array_equal(a, b)
 
     def test_rejection_regime_uniform(self):
@@ -128,3 +138,105 @@ class TestNegativeSampling:
         p = 3 / 6
         sd = np.sqrt(calls * p * (1 - p))
         assert np.all(np.abs(counts[10:] - calls * p) <= 4 * sd)
+
+
+def per_user_reference(store, users, seed, tag, epoch, which):
+    """`sample_complement` of each user's row on its own `stream`, laid end to end."""
+    domain = store.m if which == "rating" else store.n
+    parts = [np.empty(0, dtype=np.int64)]
+    for u in users:
+        row = store.row(u, which)
+        parts.append(sample_complement(stream(seed, tag, epoch, u), domain, row,
+                                       min(len(row), domain - len(row))))
+    return np.concatenate(parts)
+
+
+def batched(store, users, seat, which):
+    sample = store.sample_item_negatives if which == "rating" else store.sample_user_negatives
+    return sample(users, seat)
+
+
+@st.composite
+def stores(draw):
+    """A store whose rows are empty, exactly a quarter full, over half full
+    or of any length, over domains from 1 up."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 48))
+
+    def rows(domain):
+        out = []
+        for _ in range(n):
+            kind = draw(st.sampled_from(["empty", "quarter", "over_half", "any"]))
+            if kind == "empty":
+                length = 0
+            elif kind == "quarter" and domain % 4 == 0:
+                length = domain // 4
+            elif kind == "over_half":
+                length = draw(st.integers(domain // 2 + 1, domain))
+            else:
+                length = draw(st.integers(0, domain))
+            out.append(draw(st.permutations(range(domain)))[:length])
+        return out
+
+    ratings = [(u, i) for u, row in enumerate(rows(m)) for i in row]
+    trusts = [(u, v) for u, row in enumerate(rows(n)) for v in row]
+    return SparseInteractions(n, m, ratings, trusts)
+
+
+class TestBatchedSampling:
+    @settings(max_examples=150, deadline=None)
+    @given(store=stores(), data=st.data())
+    def test_equals_per_user_reference(self, store, data):
+        users = data.draw(st.lists(st.integers(0, store.n - 1), max_size=15))
+        seed = data.draw(st.integers(0, 2**64))
+        epoch = data.draw(st.integers(0, 2**33))
+        for which, tag in (("rating", 1), ("trust", 2)):
+            want = per_user_reference(store, users, seed, tag, epoch, which)
+            for seat in (partial(stream, seed, tag, epoch),
+                         _user_streams(seed, tag, epoch, store.n)):
+                assert np.array_equal(batched(store, users, seat, which), want)
+
+    def test_domain_of_one(self):
+        store = store_with(1, 1, [(0, 0)])
+        seat = partial(stream, 0, 1, 0)
+        for which in ("rating", "trust"):
+            assert len(batched(store, [0, 0], seat, which)) == 0
+
+    def test_short_first_draws_finish_by_reference(self, monkeypatch):
+        # rows a quarter full sample by rejection; 20 draws over 40 values
+        # often hold fewer than 10 new negatives, which sends the row to
+        # `sample_complement`
+        rng = np.random.default_rng(4)
+        n, m = 300, 40
+        store = store_with(n, m, [(u, int(i)) for u in range(n)
+                                  for i in rng.choice(m, 10, replace=False)])
+        users = rng.permutation(n).tolist()
+        want = per_user_reference(store, users, 9, 1, 3, "rating")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sample_complement(*args)
+
+        monkeypatch.setattr(sparse, "sample_complement", counted)
+        for seat in (partial(stream, 9, 1, 3), _user_streams(9, 1, 3, n)):
+            calls.clear()
+            assert np.array_equal(batched(store, users, seat, "rating"), want)
+            assert 0 < len(calls) < n
+
+
+class TestSampleComplementBounds:
+    @pytest.mark.parametrize("domain,positives,size", [
+        (10, [1], 10),          # rejection regime: used to draw forever
+        (10, [], 11),
+        (4, [0, 1], 3),         # complement regime
+        (10, [1], -1),
+    ])
+    def test_impossible_size_raises(self, domain, positives, size):
+        with pytest.raises(ValueError, match=f"domain of {domain} with {len(positives)} positives"):
+            sample_complement(np.random.default_rng(0), domain, np.array(positives, dtype=np.int64),
+                              size)
+
+    def test_whole_complement_allowed(self):
+        got = sample_complement(np.random.default_rng(0), 10, np.array([1]), 9)
+        assert sorted(got.tolist()) == [0, 2, 3, 4, 5, 6, 7, 8, 9]

@@ -6,9 +6,11 @@ import pytest
 import trustdae as td
 from trustdae import synth
 from trustdae.gradcheck import random_instance
+from trustdae.model import corrupt, forward_sampled
+from trustdae.sparse import sample_complement
 from trustdae.trainer import (_CORRUPT, _ITEM_NEG, _USER_NEG, TrainingError,
-                              _ScaledParams, _seed_states, _user_step, _user_streams,
-                              _user_trace, stream)
+                              _samples, _ScaledParams, _seed_states, _user_step,
+                              _user_streams, stream)
 
 from conftest import make_tiny_store
 
@@ -19,6 +21,24 @@ def small_train_set(seed=0):
                                   seed=seed)
     split = td.split_folds(ds, 5, seed=seed)
     return td.materialize_split(ds, split, 0)
+
+
+def replayed_trace(params, data, hp, u, epoch):
+    """User u's forward pass at `epoch`, rebuilt row by row from the reference
+    definitions `stream`, `sample_complement` and `corrupt`."""
+    pos_r, pos_t = data.row(u, "rating"), data.row(u, "trust")
+    neg_r = sample_complement(stream(hp.seed, _ITEM_NEG, epoch, u), data.m, pos_r,
+                              min(len(pos_r), data.m - len(pos_r)))
+    neg_t = sample_complement(stream(hp.seed, _USER_NEG, epoch, u), data.n, pos_t,
+                              min(len(pos_t), data.n - len(pos_t)))
+    noise = stream(hp.seed, _CORRUPT, epoch, u)
+    rating_in = corrupt(pos_r, hp.corruption, noise)
+    trust_in = corrupt(pos_t, hp.corruption, noise)
+    targets_r = (np.concatenate([pos_r, neg_r]),
+                 np.concatenate([np.ones(len(pos_r)), np.zeros(len(neg_r))]))
+    targets_t = (np.concatenate([pos_t, neg_t]),
+                 np.concatenate([np.ones(len(pos_t)), np.zeros(len(neg_t))]))
+    return forward_sampled(params, hp, rating_in, trust_in, targets_r, targets_t, u)
 
 
 class TestTrain:
@@ -102,10 +122,7 @@ class TestTrain:
         for e, stats in enumerate(log.epochs):
             parts = []
             for u in range(n):
-                trace = _user_trace(params, train_set, hp, u,
-                                    stream(hp.seed, _ITEM_NEG, e, u),
-                                    stream(hp.seed, _USER_NEG, e, u),
-                                    stream(hp.seed, _CORRUPT, e, u))
+                trace = replayed_trace(params, train_set, hp, u, e)
                 parts.append(astuple(td.user_loss(params, hp, trace)))
             np.testing.assert_allclose(astuple(stats.loss), np.mean(parts, axis=0),
                                        rtol=1e-12, atol=0)
@@ -133,6 +150,54 @@ class TestTrain:
         td.train(train_set, td.Hyperparams(latent_dim=3, epochs=4, seed=0),
                  checkpoint=lambda e, p: seen.append(e), checkpoint_every=2)
         assert seen == [1, 3, 3]  # every 2 epochs plus termination
+
+
+class TestSampleChunks:
+    def dense_train_set(self):
+        # rows over a quarter full take the enumerated complement
+        ds = synth.make_block_dataset(n_users=40, n_items=40, n_communities=2,
+                                      block_items=20, p_rate=0.7, p_trust=0.6, seed=3)
+        return td.materialize_split(ds, td.split_folds(ds, 5, seed=3), 0)[0]
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse_rows", "dense_rows"])
+    def test_samples_equal_per_user_reference(self, dense):
+        train_set = self.dense_train_set() if dense else small_train_set()[0]
+        hp = td.Hyperparams(latent_dim=3, corruption=0.3, seed=2**40 + 3)
+        params = td.init_params(train_set.n, train_set.m, 3, seed=0)
+        users = np.random.default_rng(5).permutation(train_set.n)
+        seats = [_user_streams(hp.seed, tag, 4, train_set.n)
+                 for tag in (_ITEM_NEG, _USER_NEG, _CORRUPT)]
+        got = list(_samples(train_set, hp.corruption, users, seats))
+        assert len(got) == train_set.n
+        for u, sample in zip(users.tolist(), got):
+            a = forward_sampled(params, hp, *sample, u)
+            b = replayed_trace(params, train_set, hp, u, 4)
+            for field in ("rating_idx", "rating_y", "trust_idx", "trust_y",
+                          "rating_logit", "trust_logit"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), (u, field)
+            for view in ("rating_in", "trust_in"):
+                assert np.array_equal(getattr(a, view).indices, getattr(b, view).indices)
+                assert getattr(a, view).value == getattr(b, view).value
+
+    @pytest.mark.parametrize("budget", [1, 17])
+    def test_draw_budget_leaves_training_unchanged(self, monkeypatch, budget):
+        train_set = self.dense_train_set()
+        hp = td.Hyperparams(latent_dim=4, epochs=2, seed=6)
+        want, log_want = td.train(train_set, hp)
+        monkeypatch.setattr("trustdae.trainer.SAMPLE_CHUNK_DRAWS", budget)
+        got, log_got = td.train(train_set, hp)
+        for (name, a), (_, b) in zip(got.tensors(), want.tensors()):
+            assert np.array_equal(a, b), name
+        assert [astuple(e.loss) for e in log_got.epochs] == [astuple(e.loss) for e in log_want.epochs]
+
+    def test_one_uniform_call_draws_as_two(self):
+        # a user's corruption takes one `random(len_r + len_t)` call where
+        # `corrupt` on each row takes two; a numpy whose PCG64 fills them
+        # differently fails here rather than changing the inputs
+        for seed, (a, b) in enumerate([(0, 5), (3, 0), (1, 1), (7, 12), (40, 33)]):
+            one = stream(seed, _CORRUPT, 0, 0).random(a + b)
+            rng = stream(seed, _CORRUPT, 0, 0)
+            assert np.array_equal(one, np.concatenate([rng.random(a), rng.random(b)]))
 
 
 class TestDecayPath:
