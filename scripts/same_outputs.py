@@ -36,7 +36,8 @@ from pathlib import Path
 # 6,000 items over 200 users, so each fold's evaluation takes several score
 # blocks, and in `dense` most rows are over a quarter full, so negatives
 # come from the enumerated complement, and some rejection-sampled rows need
-# more than one draw
+# more than one draw; in `renormalised` both decay groups' scales fall
+# below the trainer's floor and are folded into their tensors once a fold
 CONFIGS = {
     "defaults": [],
     "pop": ["variant=pop"],
@@ -48,6 +49,7 @@ CONFIGS = {
     "wide": ["latent_dim=20", "top_n=20", "synth_items=6000", "synth_block_items=1500"],
     "dense": ["synth_communities=2", "synth_items=120", "synth_block_items=60",
               "synth_p_rate=0.7", "synth_p_trust=0.6"],
+    "renormalised": ["weight_decay=10", "map_decay=10"],
 }
 
 _ELAPSED = re.compile(rb" \(\d+\.\d+s\)$", re.MULTILINE)

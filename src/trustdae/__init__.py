@@ -3,8 +3,8 @@
 from .dataset import (Dataset, DatasetError, FoldSplit, ParseError,
                       binarize_and_filter, load_cache, load_raw,
                       materialize_split, save_cache, split_folds)
-from .model import (ForwardTrace, Hyperparams, ModelParams, Row, corrupt,
-                    encode, forward_sampled, fuse, init_params,
+from .model import (FlatParams, ForwardTrace, Hyperparams, ModelParams, Row, Sample,
+                    corrupt, encode, forward_sampled, fuse, init_params,
                     load_checkpoint, predict_scores, save_checkpoint)
 from .objective import (LossBreakdown, correlative_term, logistic_loss,
                         user_gradients, user_loss)
@@ -20,8 +20,8 @@ __all__ = [
     "Dataset", "DatasetError", "FoldSplit", "ParseError",
     "binarize_and_filter", "load_cache", "load_raw", "materialize_split",
     "save_cache", "split_folds",
-    "ForwardTrace", "Hyperparams", "ModelParams", "Row", "corrupt", "encode",
-    "forward_sampled", "fuse", "init_params", "load_checkpoint",
+    "FlatParams", "ForwardTrace", "Hyperparams", "ModelParams", "Row", "Sample",
+    "corrupt", "encode", "forward_sampled", "fuse", "init_params", "load_checkpoint",
     "predict_scores", "save_checkpoint",
     "LossBreakdown", "correlative_term", "logistic_loss",
     "user_gradients", "user_loss",

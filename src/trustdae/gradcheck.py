@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import Hyperparams, ModelParams, forward_sampled, init_params
+from .model import FlatParams, Hyperparams, ModelParams, forward_sampled, init_params
 from .objective import user_gradients, user_loss
 from .sparse import SparseInteractions
 from .trainer import _CORRUPT, _ITEM_NEG, _USER_NEG, _samples, stream
@@ -48,15 +48,14 @@ class GradCheckReport:
 def fd_gradients(params, hp, trace) -> ModelParams:
     """Central finite differences of the per-user loss, entry by entry.
 
-    Each evaluation reruns the forward pass on the inputs, targets and user
-    that `trace` carries.
+    Each evaluation reruns the forward pass on `trace`'s sample, over a
+    flat copy of `params` whose views are perturbed.
     """
-    sample = (trace.rating_in, trace.trust_in, (trace.rating_idx, trace.rating_y),
-              (trace.trust_idx, trace.trust_y), trace.user)
-    work = params.copy()
+    store = FlatParams(params)
+    work = store.views()
 
     def loss() -> float:
-        return user_loss(work, hp, forward_sampled(work, hp, *sample)).total
+        return user_loss(work, hp, forward_sampled(store, hp, trace.sample)).total
 
     out = {}
     for name, arr in work.tensors():
@@ -117,13 +116,13 @@ def random_instance(hp: Hyperparams, seed: int):
     random store, and one random user's training sample and forward pass,
     built as the trainer builds it, from the keyed streams of epoch 0."""
     rng = np.random.default_rng(seed)
-    store = random_store(rng)
-    params = init_params(store.n, store.m, hp.latent_dim, seed=seed,
+    data = random_store(rng)
+    params = init_params(data.n, data.m, hp.latent_dim, seed=seed,
                          user_embedding=hp.user_embedding)
-    u = int(rng.integers(0, store.n))
+    u = int(rng.integers(0, data.n))
     seats = [partial(stream, seed, tag, 0) for tag in (_ITEM_NEG, _USER_NEG, _CORRUPT)]
-    sample = next(_samples(store, hp.corruption, [u], seats))
-    return params, forward_sampled(params, hp, *sample, u)
+    sample = next(_samples(data, hp.corruption, [u], seats, hp.user_embedding))
+    return params, forward_sampled(FlatParams(params), hp, sample)
 
 
 def run_suite(instances: int = 20, seed0: int = 0, **changes) -> GradCheckReport:

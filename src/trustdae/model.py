@@ -7,9 +7,9 @@ fused code is decoded back into per-item and per-user logits, whose
 sigmoids are the reconstructions. Prediction runs the same pass on clean
 inputs, for a block of users, and decodes only the items.
 
-The passes read every tensor by indexing (`w[rows]`, `b[...]`), so any
-store that answers indexing under ModelParams' field names can stand in
-for ModelParams: the trainer runs them on its scaled-decay store.
+A training step reads the parameters through `FlatParams`, which keeps
+them in three flat buffers, so the step gathers every weight row it reads
+at once and every decoder bias at once, from positions its `Sample` holds.
 """
 
 from __future__ import annotations
@@ -129,10 +129,6 @@ class ModelParams:
             if arr is not None:
                 yield f.name, arr
 
-    def copy(self) -> "ModelParams":
-        kw = {name: arr.copy() for name, arr in self.tensors()}
-        return ModelParams(**kw)
-
     def norm(self) -> float:
         return float(np.sqrt(sum(float((a * a).sum()) for _, a in self.tensors())))
 
@@ -144,30 +140,88 @@ class Row(NamedTuple):
     value: float
 
 
+class Sample(NamedTuple):
+    """One user's training sample, as positions into a `FlatParams` store.
+
+    `pos` are rows of the store's k-wide buffer: the rating inputs
+    (pos[:a]), the trust inputs (pos[a:b]), the two encoder-bias rows, the
+    decoder rows at the rating targets and then at the trust targets, and
+    last, when the store has per-user vectors, the user's row. `bpos` are
+    the decoder biases at the same targets and `y` their binary targets;
+    the first t of each are the rating view's. Every input carries `value`.
+    """
+
+    pos: np.ndarray
+    bpos: np.ndarray
+    y: np.ndarray
+    a: int
+    b: int
+    t: int
+    value: float
+
+
+def row_starts(n: int, m: int) -> tuple[int, int, int, int]:
+    """The first rows of trust_enc_w, the encoder biases, the decoder weights
+    and user_vecs in `FlatParams.rows`; trust_dec_b, too, starts at m."""
+    return m, m + n, m + n + 2, 2 * (m + n + 1)
+
+
+class FlatParams:
+    """ModelParams' tensors in three flat buffers, each read as buffer * scale.
+
+    `rows` (R, k) holds every k-wide row: rating_enc_w, trust_enc_w, the
+    two encoder biases, rating_dec_w, trust_dec_w, then user_vecs when
+    present (`row_starts`); `biases` holds rating_dec_b, then trust_dec_b.
+    The two share `scale`. `maps` (2, k, k) holds map_trust_to_rating and
+    map_rating_to_trust, read with `map_scale`. Both scales start at 1.
+    """
+
+    def __init__(self, params: ModelParams):
+        self.n, self.m = params.n, params.m
+        users = [] if params.user_vecs is None else [params.user_vecs]
+        self.rows = np.concatenate([params.rating_enc_w, params.trust_enc_w,
+                                    params.rating_enc_b[None], params.trust_enc_b[None],
+                                    params.rating_dec_w, params.trust_dec_w, *users])
+        self.biases = np.concatenate([params.rating_dec_b, params.trust_dec_b])
+        self.maps = np.stack([params.map_trust_to_rating, params.map_rating_to_trust])
+        self.scale = self.map_scale = 1.0
+
+    def views(self) -> ModelParams:
+        """The buffers' tensors as views into them, unscaled."""
+        return self._split(self.rows, self.biases, self.maps)
+
+    def snapshot(self) -> ModelParams:
+        """The parameters, as views into one scaled copy of each buffer."""
+        return self._split(self.rows * self.scale, self.biases * self.scale,
+                           self.maps * self.map_scale)
+
+    def _split(self, rows, biases, maps) -> ModelParams:
+        enc_t, bias, dec, users = row_starts(self.n, self.m)
+        return ModelParams(
+            rating_enc_w=rows[:enc_t], trust_enc_w=rows[enc_t:bias],
+            rating_enc_b=rows[bias], trust_enc_b=rows[bias + 1],
+            rating_dec_w=rows[dec:dec + self.m], rating_dec_b=biases[:self.m],
+            trust_dec_w=rows[dec + self.m:users], trust_dec_b=biases[self.m:],
+            map_trust_to_rating=maps[0], map_rating_to_trust=maps[1],
+            user_vecs=rows[users:] if len(rows) > users else None)
+
+
 @dataclass
 class ForwardTrace:
     """One user's sample and the activations of its pass, kept for backprop.
 
-    `rating_y` / `trust_y` are the binary targets at the coordinates
-    `rating_idx` / `trust_idx`. `rating_logit` / `trust_logit`, the
-    decoders' logits, and the decoder weight rows gathered to compute them,
-    are aligned with those coordinates, not with the full output rows.
+    `rows` are the store's scaled rows at `sample.pos` and `maps` its two
+    scaled cross-view maps; `codes` holds the rating view's code, then the
+    trust view's; `logit` holds the decoders' logits at the sample's
+    targets, aligned with `sample.y`.
     """
 
-    rating_in: Row
-    trust_in: Row
-    z_rating: np.ndarray
-    z_trust: np.ndarray
+    sample: Sample
+    rows: np.ndarray
+    maps: np.ndarray
+    codes: np.ndarray   # (2, k)
     fused: np.ndarray
-    rating_idx: np.ndarray
-    trust_idx: np.ndarray
-    rating_y: np.ndarray
-    trust_y: np.ndarray
-    rating_logit: np.ndarray
-    trust_logit: np.ndarray
-    rating_dec_rows: np.ndarray
-    trust_dec_rows: np.ndarray
-    user: int | None = None
+    logit: np.ndarray
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -249,42 +303,27 @@ def fuse(z_rating: np.ndarray, z_trust: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * z_rating + (1.0 - alpha) * z_trust
 
 
-def decode_at(params: ModelParams, fused: np.ndarray, item_idx: np.ndarray,
-              user_idx: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Decoder logits at selected coordinates only.
+def forward_sampled(store: FlatParams, hp: Hyperparams, sample: Sample) -> ForwardTrace:
+    """Forward pass materializing outputs only at the sample's targets.
 
-    Returns (item logits, user logits, item decoder rows, user decoder
-    rows); backprop reuses the gathered rows.
+    The one forward pass of training and the gradient check. It makes one
+    gather of the store's rows at `sample.pos`, one of its decoder biases
+    at `sample.bpos` and one read of its maps. The inputs are taken as
+    given (already corrupted or clean); this function is deterministic,
+    which is what the finite-difference check relies on.
     """
-    rows_r = params.rating_dec_w[item_idx]
-    rows_t = params.trust_dec_w[user_idx]
-    return (rows_r @ fused + params.rating_dec_b[item_idx],
-            rows_t @ fused + params.trust_dec_b[user_idx], rows_r, rows_t)
-
-
-def forward_sampled(params: ModelParams, hp: Hyperparams, rating_in: Row,
-                    trust_in: Row, targets_r, targets_t,
-                    user: int | None = None) -> ForwardTrace:
-    """Forward pass materializing outputs only at the target coordinates.
-
-    The one forward pass of training and the gradient check.
-    `targets_r` / `targets_t` are (indices, binary targets) pairs; the
-    trace carries them, so the loss and backprop read them from it. The
-    inputs are taken as given (already corrupted or clean); this function
-    is deterministic, which is what the finite-difference check relies on.
-    """
-    (rating_idx, rating_y), (trust_idx, trust_y) = targets_r, targets_t
-    z_rating, z_trust = encode(params, rating_in, trust_in, user)
-    fused = fuse(z_rating, z_trust, hp.alpha)
-    rating_logit, trust_logit, rating_rows, trust_rows = decode_at(
-        params, fused, rating_idx, trust_idx)
-    return ForwardTrace(rating_in=rating_in, trust_in=trust_in,
-                        z_rating=z_rating, z_trust=z_trust, fused=fused,
-                        rating_idx=rating_idx, trust_idx=trust_idx,
-                        rating_y=rating_y, trust_y=trust_y,
-                        rating_logit=rating_logit, trust_logit=trust_logit,
-                        rating_dec_rows=rating_rows, trust_dec_rows=trust_rows,
-                        user=user)
+    a, b, t = sample.a, sample.b, sample.t
+    mid, end = b + 2 + t, b + 2 + len(sample.y)
+    rows = store.rows[sample.pos] * store.scale
+    logit = store.biases[sample.bpos] * store.scale
+    pre = np.array([rows[:a].sum(axis=0), rows[a:b].sum(axis=0)]) * sample.value + rows[b:b + 2]
+    if len(rows) > end:   # the user's row
+        pre += rows[end]
+    codes = sigmoid(pre)
+    fused = fuse(codes[0], codes[1], hp.alpha)
+    logit[:t] += rows[b + 2:mid] @ fused
+    logit[t:] += rows[mid:end] @ fused
+    return ForwardTrace(sample, rows, store.maps * store.map_scale, codes, fused, logit)
 
 
 def predict_scores(params: ModelParams, train: SparseInteractions, users,

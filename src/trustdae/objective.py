@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ForwardTrace, Hyperparams, ModelParams, sigmoid
+from .model import FlatParams, ForwardTrace, Hyperparams, ModelParams, sigmoid
 
 # the cross-view maps, decayed with map_decay; every other tensor takes weight_decay
 MAP_TENSORS = ("map_trust_to_rating", "map_rating_to_trust")
@@ -74,75 +74,60 @@ def total_loss(params: ModelParams, hp: Hyperparams, terms) -> LossBreakdown:
     return LossBreakdown(rating_recon, trust_recon, corr, wd, md, total)
 
 
-def data_terms(params, trace: ForwardTrace) -> tuple[float, float, float]:
-    """The (rating, trust, cross-view) data terms of one user's loss over the
-    sampled coordinates and targets of `trace`; `params` may be any store
-    the forward pass reads."""
-    return (float(logistic_loss(trace.rating_y, trace.rating_logit).sum()),
-            float(logistic_loss(trace.trust_y, trace.trust_logit).sum()),
-            correlative_term(trace.z_rating, trace.z_trust,
-                             params.map_trust_to_rating[...],
-                             params.map_rating_to_trust[...]))
-
-
 def user_loss(params: ModelParams, hp: Hyperparams, trace: ForwardTrace) -> LossBreakdown:
     """Loss of one user over the sampled coordinates and targets of `trace`,
-    with the 1/n share of the l2 terms."""
-    return total_loss(params, hp, data_terms(params, trace))
+    with the 1/n share of the l2 terms of `params`."""
+    return total_loss(params, hp, backprop_core(hp, trace)[0])
 
 
-def backprop_core(params, hp: Hyperparams,
-                  trace: ForwardTrace) -> list[tuple[str, object, np.ndarray]]:
-    """Data gradient of one user's reconstruction + cross-view loss.
+def backprop_core(hp: Hyperparams, trace: ForwardTrace):
+    """The (rating, trust, cross-view) data terms of one user's loss and
+    their gradient, both from one set of intermediates.
 
-    The one backward pass of training and the gradient check, for every
-    alpha and beta; at beta = 0 the maps' pieces are exactly zero. Decay is
-    left out: the trainer applies it multiplicatively and `user_gradients`
-    adds it densely. Returns one (tensor name, rows, values) piece per
-    present tensor, where rows is an index array, one row, or `...` for
-    the whole tensor, and values may be one (k,) row shared by all the
-    piece's rows (the encoder weights, whose inputs all carry one value).
-    `params` may be any store the forward pass reads. Target indices
-    within each view must be distinct (observed and sampled sets are
-    disjoint by construction), otherwise the row updates would collide.
+    The one loss and backward pass of training and the gradient check, for
+    every alpha and beta; at beta = 0 the maps' gradient is exactly zero.
+    Decay is left out: the trainer applies it multiplicatively and
+    `user_gradients` adds it densely. Returns (terms, (rows, biases, maps)):
+    gradient values laid out like `trace.sample.pos` and `.bpos`, and the
+    (2, k, k) gradient of the maps. Positions must be distinct (observed
+    and sampled targets are disjoint by construction), otherwise the row
+    updates would collide.
     """
-    e_r = sigmoid(trace.rating_logit) - trace.rating_y
-    e_t = sigmoid(trace.trust_logit) - trace.trust_y
-    z_r, z_t, fused = trace.z_rating, trace.z_trust, trace.fused
-    g_fused = trace.rating_dec_rows.T @ e_r + trace.trust_dec_rows.T @ e_t
+    s, rows, z, fused = trace.sample, trace.rows, trace.codes, trace.fused
+    a, b, t = s.a, s.b, s.t
+    mid, end = b + 2 + t, b + 2 + len(s.y)
+    loss = logistic_loss(s.y, trace.logit)
+    e = sigmoid(trace.logit) - s.y
+    m0, m1 = trace.maps
+    resid = z - np.array([m0 @ z[1], m1 @ z[0]])   # d_r, d_t
+    terms = (float(loss[:t].sum()), float(loss[t:].sum()),
+             float(resid[0] @ resid[0] + resid[1] @ resid[1]))
 
-    m0 = params.map_trust_to_rating[...]
-    m1 = params.map_rating_to_trust[...]
-    d_r = z_r - m0 @ z_t
-    d_t = z_t - m1 @ z_r
-    g_zr = hp.alpha * g_fused + 2.0 * hp.beta * (d_r - m1.T @ d_t)
-    g_zt = (1.0 - hp.alpha) * g_fused + 2.0 * hp.beta * (d_t - m0.T @ d_r)
-    g_pre_r = g_zr * z_r * (1.0 - z_r)
-    g_pre_t = g_zt * z_t * (1.0 - z_t)
-    rating_in, trust_in = trace.rating_in, trace.trust_in
-    pieces = [
-        ("rating_enc_w", rating_in.indices, rating_in.value * g_pre_r),
-        ("trust_enc_w", trust_in.indices, trust_in.value * g_pre_t),
-        ("rating_enc_b", ..., g_pre_r),
-        ("trust_enc_b", ..., g_pre_t),
-        ("rating_dec_w", trace.rating_idx, e_r[:, None] * fused[None, :]),
-        ("rating_dec_b", trace.rating_idx, e_r),
-        ("trust_dec_w", trace.trust_idx, e_t[:, None] * fused[None, :]),
-        ("trust_dec_b", trace.trust_idx, e_t),
-        ("map_trust_to_rating", ..., -2.0 * hp.beta * np.outer(d_r, z_t)),
-        ("map_rating_to_trust", ..., -2.0 * hp.beta * np.outer(d_t, z_r)),
-    ]
-    if params.user_vecs is not None:
-        pieces.append(("user_vecs", trace.user, g_pre_r + g_pre_t))
-    return pieces
+    g_fused = rows[b + 2:mid].T @ e[:t] + rows[mid:end].T @ e[t:]
+    g_z = (np.array([[hp.alpha], [1.0 - hp.alpha]]) * g_fused
+           + 2.0 * hp.beta * (resid - np.array([m1.T @ resid[1], m0.T @ resid[0]])))
+    g_pre = g_z * z * (1.0 - z)
+    g_rows = np.empty_like(rows)
+    g_rows[:b] = s.value * np.repeat(g_pre, (a, b - a), axis=0)   # each view's inputs
+    g_rows[b:b + 2] = g_pre
+    np.multiply.outer(e, fused, out=g_rows[b + 2:end])
+    if len(rows) > end:   # the user's row
+        g_rows[end] = g_pre[0] + g_pre[1]
+    g_maps = resid[:, :, None] * z[::-1, None, :]
+    g_maps *= -2.0 * hp.beta
+    return terms, (g_rows, e, g_maps)
 
 
 def user_gradients(params: ModelParams, hp: Hyperparams, trace: ForwardTrace) -> ModelParams:
     """Dense exact gradient of `user_loss`, one array per model tensor."""
-    grads = ModelParams(**{name: decay_coef(hp, name) / params.n * arr
-                           for name, arr in params.tensors()})
-    for name, rows, vals in backprop_core(params, hp, trace):
-        getattr(grads, name)[rows] += vals
+    flat = FlatParams(params)
+    grads = flat.views()
+    for name, arr in grads.tensors():
+        arr *= decay_coef(hp, name) / params.n
+    _, (g_rows, g_biases, g_maps) = backprop_core(hp, trace)
+    flat.rows[trace.sample.pos] += g_rows
+    flat.biases[trace.sample.bpos] += g_biases
+    flat.maps += g_maps
     for name, arr in grads.tensors():
         if not np.isfinite(arr).all():
             raise FloatingPointError(f"non-finite gradient in {name}")

@@ -16,12 +16,13 @@ around them are computed for the whole chunk at once. The per-user loop
 only slices the chunk's arrays, so the draws and every step are those of
 building each sample on its own.
 
-l2 decay is folded into a per-tensor scale factor: one multiplication per
-user step instead of a full-matrix subtraction, so the per-epoch cost
-stays proportional to the interaction count times the latent dimension.
-The scaled store answers the forward pass's row reads directly, so
-training runs the same sample builder, forward and backward code as the
-gradient check.
+l2 decay is folded into one scale factor per decay group of the flat
+store (`FlatParams`): one multiplication per user step instead of a
+full-matrix subtraction, so the per-epoch cost stays proportional to the
+interaction count times the latent dimension. A step gathers its rows
+from the store once and scatters its update into it once, and training
+runs the same sample builder, forward and backward code as the gradient
+check.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .model import ForwardTrace, Hyperparams, ModelParams, Row, corrupt, forward_sampled, init_params
-from .objective import LossBreakdown, backprop_core, data_terms, decay_coef, total_loss
+from .model import (FlatParams, ForwardTrace, Hyperparams, ModelParams, Sample, corrupt,
+                    forward_sampled, init_params, row_starts)
+from .objective import MAP_TENSORS, LossBreakdown, backprop_core, decay_coef, total_loss
 # looked up here by the benchmark's span tracer (cvbench/tracing.py)
 from .objective import correlative_term, logistic_loss  # noqa: F401
 from .sparse import SparseInteractions, negative_draws, negative_sizes
@@ -55,8 +57,8 @@ _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 # a chunk's arrays take about 40 bytes a draw
 SAMPLE_CHUNK_DRAWS = 2**14
 
-# a tensor's scale is folded into its array once it falls below this, long
-# before lr/scale can overflow (Bottou, "Stochastic Gradient Descent
+# a decay group's scale is folded into its buffers once it falls below this,
+# long before lr/scale can overflow (Bottou, "Stochastic Gradient Descent
 # Tricks", 2012)
 _MIN_SCALE = 1e-100
 
@@ -164,46 +166,26 @@ def _user_streams(seed: int, tag: int, epoch: int, n: int):
     return seat
 
 
-class _Scaled:
-    """A tensor stored as scale * array so decay is O(1) per step."""
+class _DecayedParams(FlatParams):
+    """A FlatParams whose two decay groups, the maps and every other tensor,
+    decay in O(1) a step: each group's scale is multiplied by its factor
+    1 - lr*lam/n, which every member of the group shares."""
 
-    __slots__ = ("arr", "scale", "factor")
-
-    def __init__(self, arr: np.ndarray, factor: float):
-        self.arr = arr.astype(np.float64, copy=True)
-        self.scale = 1.0
-        self.factor = factor
-
-    def __getitem__(self, idx) -> np.ndarray:
-        return self.arr[idx] * self.scale
+    def __init__(self, params: ModelParams, hp: Hyperparams):
+        super().__init__(params)
+        self.factor, self.map_factor = (1.0 - hp.lr * decay_coef(hp, name) / params.n
+                                        for name in ("rating_enc_w", MAP_TENSORS[0]))
 
     def decay(self) -> None:
         self.scale *= self.factor
         if self.scale < _MIN_SCALE:
-            self.arr *= self.scale
+            self.rows *= self.scale
+            self.biases *= self.scale
             self.scale = 1.0
-
-    def sub_rows(self, idx, vals, lr: float) -> None:
-        self.arr[idx] -= (lr / self.scale) * vals
-
-
-class _ScaledParams:
-    """All model tensors in scaled form, under ModelParams' field names,
-    each with its per-step decay factor 1 - lr*lam/n."""
-
-    def __init__(self, params: ModelParams, hp: Hyperparams):
-        self.user_vecs = None
-        self._tensors = [(name, _Scaled(arr, 1.0 - hp.lr * decay_coef(hp, name) / params.n))
-                         for name, arr in params.tensors()]
-        for name, s in self._tensors:
-            setattr(self, name, s)
-
-    def tensors(self) -> list[tuple[str, _Scaled]]:
-        """(name, scaled tensor) for every present tensor, in field order."""
-        return self._tensors
-
-    def snapshot(self) -> ModelParams:
-        return ModelParams(**{name: s[...] for name, s in self.tensors()})
+        self.map_scale *= self.map_factor
+        if self.map_scale < _MIN_SCALE:
+            self.maps *= self.map_scale
+            self.map_scale = 1.0
 
 
 def per_user_cost(train: SparseInteractions, hp: Hyperparams) -> int:
@@ -228,49 +210,60 @@ def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
 
 
-def _chunk_samples(data: SparseInteractions, q: float, users: np.ndarray, seats):
-    """`_samples` of a chunk of one user or more: per view, the targets
-    (positives, then negatives) of every user laid end to end; the positives
-    of both views (rating row, then trust row) laid end to end likewise for
-    corruption; then one slice of each per user."""
+def _chunk_samples(data: SparseInteractions, q: float, users: np.ndarray, seats,
+                   user_rows: bool):
+    """`_samples` of a chunk of one user or more: every user's target
+    positions and binary targets (per view, positives then negatives), then
+    their store rows, laid end to end, the positives among them corrupted
+    at once; then one slice of each per user."""
     items, others, noise = seats
-    targets, positives = [], []
-    for which, domain, sample, seat in (("rating", data.m, data.sample_item_negatives, items),
-                                        ("trust", data.n, data.sample_user_negatives, others)):
+    _, bias, dec, user0 = row_starts(data.n, data.m)
+    views = []
+    # trust columns move by m, to their rows of trust_enc_w and trust_dec_b
+    for which, domain, offset, sample, seat in (
+            ("rating", data.m, 0, data.sample_item_negatives, items),
+            ("trust", data.n, data.m, data.sample_user_negatives, others)):
         negatives = sample(users, seat)
         owner, cols = data.rows(users, which)
         lengths = np.bincount(owner, minlength=len(users))
-        sizes = negative_sizes(lengths, domain)
-        edges = np.concatenate([[0], np.cumsum(lengths + sizes)])
-        idx, y = np.empty(edges[-1], dtype=np.int64), np.zeros(edges[-1])
-        at = _spans(edges[:-1], lengths)
-        idx[at], y[at] = cols, 1.0
-        idx[_spans(edges[:-1] + lengths, sizes)] = negatives
-        targets.append((idx, y, edges.tolist()))
-        positives.append((cols, lengths))
-    (pos_r, len_r), (pos_t, len_t) = positives
-    edges = np.concatenate([[0], np.cumsum(len_r + len_t)])
-    cols = np.empty(edges[-1], dtype=np.int64)
-    cols[_spans(edges[:-1], len_r)] = pos_r
-    cols[_spans(edges[:-1] + len_r, len_t)] = pos_t
+        views.append((cols + offset, negatives + offset, lengths,
+                      negative_sizes(lengths, domain)))
+    (pos_r, neg_r, len_r, size_r), (pos_t, neg_t, len_t, size_t) = views
+    sizes_r = len_r + size_r
+    sizes = sizes_r + len_t + size_t
+    edges = np.concatenate([[0], np.cumsum(sizes)])
+    bpos, y = np.empty(edges[-1], dtype=np.int64), np.empty(edges[-1])
+    for at, lengths, values, target in ((0, len_r, pos_r, 1.0), (len_r, size_r, neg_r, 0.0),
+                                        (sizes_r, len_t, pos_t, 1.0),
+                                        (sizes_r + len_t, size_t, neg_t, 0.0)):
+        span = _spans(edges[:-1] + at, lengths)
+        bpos[span], y[span] = values, target
+    cols = bpos[y == 1.0]   # each user's rating row, then trust row
+    in_edges = np.concatenate([[0], np.cumsum(len_r + len_t)])
     uniforms = [noise(u).random(k) for u, k in zip(users.tolist(), (len_r + len_t).tolist()) if k]
-    kept = corrupt(np.arange(edges[-1]), q, np.concatenate([np.empty(0), *uniforms]))
-    inputs = cols[kept.indices]
-    cut_r = np.searchsorted(kept.indices, edges[:-1] + len_r).tolist()
-    cut = np.searchsorted(kept.indices, edges).tolist()
-    (idx_r, y_r, at_r), (idx_t, y_t, at_t) = targets
-    for i in range(len(users)):
-        yield (Row(inputs[cut[i]:cut_r[i]], kept.value),
-               Row(inputs[cut_r[i]:cut[i + 1]], kept.value),
-               (idx_r[at_r[i]:at_r[i + 1]], y_r[at_r[i]:at_r[i + 1]]),
-               (idx_t[at_t[i]:at_t[i + 1]], y_t[at_t[i]:at_t[i + 1]]))
+    kept = corrupt(np.arange(in_edges[-1]), q, np.concatenate([np.empty(0), *uniforms]))
+    cut = np.searchsorted(kept.indices, in_edges)
+    kept_r = np.searchsorted(kept.indices, in_edges[:-1] + len_r) - cut[:-1]
+    kept_in = np.diff(cut)
+    row_edges = np.concatenate([[0], np.cumsum(kept_in + 2 + sizes + int(user_rows))])
+    starts = row_edges[:-1] + kept_in
+    pos = np.empty(row_edges[-1], dtype=np.int64)
+    pos[_spans(row_edges[:-1], kept_in)] = cols[kept.indices]
+    pos[starts], pos[starts + 1] = bias, bias + 1
+    pos[_spans(starts + 2, sizes)] = bpos + dec
+    if user_rows:
+        pos[row_edges[1:] - 1] = user0 + users
+    at, at_rows = edges.tolist(), row_edges.tolist()
+    for i, (a, b, t) in enumerate(zip(kept_r.tolist(), kept_in.tolist(), sizes_r.tolist())):
+        yield Sample(pos[at_rows[i]:at_rows[i + 1]], bpos[at[i]:at[i + 1]],
+                     y[at[i]:at[i + 1]], a, b, t, kept.value)
 
 
-def _samples(data: SparseInteractions, q: float, users, seats):
-    """Each of `users`' training sample in turn, as `forward_sampled` takes
-    it: the rating and trust rows corrupted at rate q as inputs, and per
-    view the clean binary targets over the row's positives and fresh
-    negatives.
+def _samples(data: SparseInteractions, q: float, users, seats, user_rows: bool):
+    """Each of `users`' training `Sample` in turn, laid out against the
+    flat store of `data`'s n and m, with per-user rows when `user_rows`:
+    the rating and trust rows corrupted at rate q as inputs, and per view
+    the clean binary targets over the row's positives and fresh negatives.
 
     `seats` = (items, others, noise): u -> u's generator at the start of its
     item-negative, user-negative or corruption stream. Each user's streams
@@ -285,21 +278,21 @@ def _samples(data: SparseInteractions, q: float, users, seats):
     chunk = (np.cumsum(draws) - draws) // SAMPLE_CHUNK_DRAWS
     for part in np.split(users, np.flatnonzero(np.diff(chunk)) + 1):
         if len(part):
-            yield from _chunk_samples(data, q, part, seats)
+            yield from _chunk_samples(data, q, part, seats, user_rows)
 
 
-def _user_step(store: _ScaledParams, hp: Hyperparams,
+def _user_step(store: _DecayedParams, hp: Hyperparams,
                trace: ForwardTrace) -> tuple[float, float, float]:
     """One SGD step on `trace`'s user, in place: params*(1 - lr*lam/n) - lr*grad.
 
     Returns the (rating, trust, cross-view) loss terms before the step.
     """
-    terms = data_terms(store, trace)
-    pieces = backprop_core(store, hp, trace)
-    for _, s in store.tensors():
-        s.decay()
-    for name, rows, vals in pieces:
-        getattr(store, name).sub_rows(rows, vals, hp.lr)
+    terms, (g_rows, g_biases, g_maps) = backprop_core(hp, trace)
+    store.decay()
+    step = hp.lr / store.scale
+    store.rows[trace.sample.pos] -= step * g_rows
+    store.biases[trace.sample.bpos] -= step * g_biases
+    store.maps -= (hp.lr / store.map_scale) * g_maps
     return terms
 
 
@@ -319,7 +312,7 @@ def train(train_data: SparseInteractions, hp: Hyperparams,
     if train_data.nnz("rating") == 0:
         raise TrainingError("training data has no rating interactions")
     n = train_data.n
-    scaled = _ScaledParams(init_params(
+    store = _DecayedParams(init_params(
         n, train_data.m, hp.latent_dim, hp.seed, user_embedding=hp.user_embedding), hp)
 
     log = TrainLog(epochs=[])
@@ -330,14 +323,14 @@ def train(train_data: SparseInteractions, hp: Hyperparams,
         order = stream(hp.seed, _SHUFFLE, epoch).permutation(n)
         seats = [_user_streams(hp.seed, tag, epoch, n)
                  for tag in (_ITEM_NEG, _USER_NEG, _CORRUPT)]
-        samples = _samples(train_data, hp.corruption, order, seats)
+        samples = _samples(train_data, hp.corruption, order, seats, hp.user_embedding)
         for u, sample in zip(order.tolist(), samples, strict=True):
-            terms = _user_step(scaled, hp, forward_sampled(scaled, hp, *sample, u))
+            terms = _user_step(store, hp, forward_sampled(store, hp, sample))
             if not np.isfinite(sum(terms)):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, user {u}")
             sums = [total + term for total, term in zip(sums, terms)]
 
-        params = scaled.snapshot()
+        params = store.snapshot()
         epoch_loss = total_loss(params, hp, [total / n for total in sums])
         if not np.isfinite(epoch_loss.total):
             raise TrainingError(f"non-finite parameters after epoch {epoch}")

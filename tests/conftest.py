@@ -5,6 +5,7 @@ import trustdae as td
 from trustdae import synth
 from trustdae.cli import ExperimentConfig, run_cross_validation
 from trustdae.gradcheck import random_store
+from trustdae.model import Sample, row_starts
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +37,20 @@ def synth_runner(block_ds):
 def make_tiny_store(seed=0):
     """Small random interaction store for unit tests."""
     return random_store(np.random.default_rng(seed))
+
+
+def flat_sample(n, m, rating_in, trust_in, targets_r, targets_t, user=None):
+    """One user's `Sample` against a FlatParams of n users and m items, laid
+    out from the corrupted rows, the (indices, binary targets) of each view
+    and, for a store with per-user vectors, the user."""
+    enc_t, bias, dec, user0 = row_starts(n, m)
+    bpos = np.concatenate([targets_r[0], targets_t[0] + m]).astype(np.int64)
+    users = [] if user is None else [user0 + user]
+    pos = np.concatenate([rating_in.indices, trust_in.indices + enc_t, [bias, bias + 1],
+                          bpos + dec, users]).astype(np.int64)
+    a = len(rating_in.indices)
+    return Sample(pos, bpos, np.concatenate([targets_r[1], targets_t[1]]).astype(float),
+                  a, a + len(trust_in.indices), len(targets_r[0]), rating_in.value)
 
 
 def one_row_hits(items, test, n):

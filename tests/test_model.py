@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trustdae as td
-from trustdae.model import decode_at, sigmoid
+from trustdae.model import sigmoid
 
-from conftest import make_tiny_store
+from conftest import flat_sample, make_tiny_store
 
 
 class TestSigmoid:
@@ -129,17 +129,17 @@ class TestEncodeFuseDecode:
         t_hat = sigmoid(p.trust_dec_w @ np.zeros(3) + p.trust_dec_b)
         assert np.allclose(r_hat, 0.5) and np.allclose(t_hat, 0.5)
 
-    def test_decode_at_matches_full(self):
+    def test_sampled_logits_match_full(self):
         p = td.init_params(5, 7, 3, seed=3)
-        fused = np.array([0.2, 0.8, 0.5])
-        r_full = p.rating_dec_w @ fused + p.rating_dec_b
-        t_full = p.trust_dec_w @ fused + p.trust_dec_b
+        hp = td.Hyperparams(latent_dim=3)
         idx_i, idx_u = np.array([1, 6]), np.array([0, 4])
-        r_sel, t_sel, rows_i, rows_u = decode_at(p, fused, idx_i, idx_u)
-        np.testing.assert_array_equal(r_sel, r_full[idx_i])
-        np.testing.assert_array_equal(t_sel, t_full[idx_u])
-        np.testing.assert_array_equal(rows_i, p.rating_dec_w[idx_i])
-        np.testing.assert_array_equal(rows_u, p.trust_dec_w[idx_u])
+        sample = flat_sample(5, 7, td.Row(np.array([2, 3]), 1.0), td.Row(np.array([1]), 1.0),
+                             (idx_i, np.array([1.0, 0.0])), (idx_u, np.array([0.0, 1.0])))
+        trace = td.forward_sampled(td.FlatParams(p), hp, sample)
+        r_full = p.rating_dec_w @ trace.fused + p.rating_dec_b
+        t_full = p.trust_dec_w @ trace.fused + p.trust_dec_b
+        np.testing.assert_array_equal(trace.logit[:2], r_full[idx_i])
+        np.testing.assert_array_equal(trace.logit[2:], t_full[idx_u])
 
 
 def per_user_logits(p, s, users, alpha):

@@ -5,8 +5,10 @@ import pytest
 
 import trustdae as td
 from trustdae.gradcheck import compare, fd_gradients, random_instance, run_suite
-from trustdae.model import Row, forward_sampled
-from trustdae.objective import MAP_TENSORS, backprop_core
+from trustdae.model import FlatParams, Row, forward_sampled
+from trustdae.objective import backprop_core
+
+from conftest import flat_sample
 
 
 def empty_targets():
@@ -66,8 +68,7 @@ class TestUserLoss:
     def test_recon_only_when_regularizers_off(self):
         hp, params, trace = make_setup(beta=0.0, decay=0.0)
         lb = td.user_loss(params, hp, trace)
-        recon = (td.logistic_loss(trace.rating_y, trace.rating_logit).sum()
-                 + td.logistic_loss(trace.trust_y, trace.trust_logit).sum())
+        recon = td.logistic_loss(trace.sample.y, trace.logit).sum()
         assert math.isclose(lb.total, recon, rel_tol=1e-12)
 
     def test_breakdown_identity(self):
@@ -79,6 +80,8 @@ class TestUserLoss:
         assert math.isclose(lb.total, expect, rel_tol=1e-12)
         assert min(lb.rating_recon, lb.trust_recon, lb.correlative,
                    lb.weight_decay, lb.map_decay) >= 0
+        # the step's cross-view term is the reference definition's, bit for bit
+        assert lb.correlative == td.correlative_term(*trace.codes, *trace.maps)
 
     def test_perfect_predictions_give_near_zero_recon(self):
         # steer the decoder bias so every target is hit almost exactly
@@ -90,8 +93,8 @@ class TestUserLoss:
         idx = np.arange(6)
         y = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 0.0])
         row = Row(np.array([0]), 1.0)
-        trace = forward_sampled(params, hp, row, row, (idx, y), empty_targets())
-        lb = td.user_loss(params, hp, trace)
+        sample = flat_sample(4, 6, row, row, (idx, y), empty_targets())
+        lb = td.user_loss(params, hp, forward_sampled(FlatParams(params), hp, sample))
         assert lb.rating_recon < 1e-6
 
     def test_decay_only_quadratic_derivative(self):
@@ -100,8 +103,8 @@ class TestUserLoss:
                             weight_decay=0.01, map_decay=0.01)
         params = td.init_params(8, 12, 4, seed=1)
         empty_row = Row(np.array([], dtype=np.int64), 1.0)
-        trace = forward_sampled(params, hp, empty_row, empty_row,
-                                empty_targets(), empty_targets())
+        sample = flat_sample(8, 12, empty_row, empty_row, empty_targets(), empty_targets())
+        trace = forward_sampled(FlatParams(params), hp, sample)
         grads = td.user_gradients(params, hp, trace)
         np.testing.assert_allclose(grads.rating_enc_w,
                                    hp.weight_decay / params.n * params.rating_enc_w,
@@ -111,11 +114,14 @@ class TestUserLoss:
                                    atol=1e-15)
 
     def test_permutation_invariance(self):
+        # the rating targets, their decoder rows and biases permuted alike
         hp, params, trace = make_setup(seed=5)
-        perm = np.random.default_rng(0).permutation(len(trace.rating_idx))
-        trace2 = forward_sampled(params, hp, trace.rating_in, trace.trust_in,
-                                 (trace.rating_idx[perm], trace.rating_y[perm]),
-                                 (trace.trust_idx, trace.trust_y), trace.user)
+        s = trace.sample
+        perm = np.random.default_rng(0).permutation(s.t)
+        pos, bpos, y = s.pos.copy(), s.bpos.copy(), s.y.copy()
+        pos[s.b + 2:s.b + 2 + s.t] = pos[s.b + 2:][perm]
+        bpos[:s.t], y[:s.t] = bpos[perm], y[perm]
+        trace2 = forward_sampled(FlatParams(params), hp, s._replace(pos=pos, bpos=bpos, y=y))
         a = td.user_loss(params, hp, trace).total
         b = td.user_loss(params, hp, trace2).total
         assert math.isclose(a, b, rel_tol=1e-12)
@@ -140,17 +146,15 @@ class TestUserGradients:
         # in each view, one positive target is pushed below logit -20 and one
         # negative above +20, where a clamped probability would flatten the loss
         hp, params, trace = make_setup(seed=2)
-        for y, idx, w, b in ((trace.rating_y, trace.rating_idx,
-                              params.rating_dec_w, params.rating_dec_b),
-                             (trace.trust_y, trace.trust_idx,
+        s = trace.sample
+        for y, idx, w, b in ((s.y[:s.t], s.bpos[:s.t], params.rating_dec_w, params.rating_dec_b),
+                             (s.y[s.t:], s.bpos[s.t:] - params.m,
                               params.trust_dec_w, params.trust_dec_b)):
             pos, neg = idx[np.flatnonzero(y == 1)[0]], idx[np.flatnonzero(y == 0)[0]]
             b[pos], b[neg] = -25.0, 25.0
             logits = w[[pos, neg]] @ trace.fused + b[[pos, neg]]
             assert logits[0] < -20.0 and logits[1] > 20.0
-        trace = forward_sampled(params, hp, trace.rating_in, trace.trust_in,
-                                (trace.rating_idx, trace.rating_y),
-                                (trace.trust_idx, trace.trust_y), trace.user)
+        trace = forward_sampled(FlatParams(params), hp, s)
         analytic = td.user_gradients(params, hp, trace)
         rel, _, fails = compare(analytic, fd_gradients(params, hp, trace))
         assert fails == 0, rel
@@ -170,7 +174,7 @@ class TestUserGradients:
     def test_dropped_inputs_contribute_nothing(self):
         hp, params, trace = make_setup(seed=13, q=0.5, decay=0.0)
         grads = td.user_gradients(params, hp, trace)
-        touched = set(trace.rating_in.indices.tolist())
+        touched = set(trace.sample.pos[:trace.sample.a].tolist())
         for i in range(params.m):
             if i not in touched:
                 assert np.all(grads.rating_enc_w[i] == 0.0)
@@ -184,8 +188,9 @@ class TestUserGradients:
         params.trust_enc_w = params.rating_enc_w.copy()
         params.trust_enc_b = params.rating_enc_b.copy()
         row = Row(np.array([1, 4]), 1.0)
-        trace = forward_sampled(params, hp, row, row, empty_targets(), empty_targets())
-        assert np.array_equal(trace.z_rating, trace.z_trust)
+        sample = flat_sample(6, 6, row, row, empty_targets(), empty_targets())
+        trace = forward_sampled(FlatParams(params), hp, sample)
+        assert np.array_equal(*trace.codes)
         grads = td.user_gradients(params, hp, trace)
         for _, arr in grads.tensors():
             assert np.all(arr == 0.0)
@@ -193,16 +198,17 @@ class TestUserGradients:
     @pytest.mark.parametrize("beta", [0.0, 0.01])
     @pytest.mark.parametrize("user_embedding", [False, True])
     def test_one_piece_per_present_tensor(self, beta, user_embedding):
-        # one backward pass for every beta: at beta = 0 the maps still get
-        # their piece, and it is exactly zero
+        # one backward pass for every beta: a gradient row for every row the
+        # step reads, the user's only with per-user vectors, one value per
+        # decoder bias, and the maps' gradient, exactly zero at beta = 0
         hp = td.Hyperparams(latent_dim=4, beta=beta, user_embedding=user_embedding)
         params, trace = random_instance(hp, seed=23)
-        pieces = backprop_core(params, hp, trace)
-        names = sorted(name for name, _, _ in pieces)
-        assert names == sorted(name for name, _ in params.tensors())
-        maps = [vals for name, _, vals in pieces if name in MAP_TENSORS]
-        assert len(maps) == 2
-        assert all(np.all(vals == 0.0) for vals in maps) == (beta == 0.0)
+        s = trace.sample
+        _, (g_rows, g_biases, g_maps) = backprop_core(hp, trace)
+        assert len(s.pos) == s.b + 2 + len(s.y) + user_embedding
+        assert g_rows.shape == (len(s.pos), 4) and g_biases.shape == s.bpos.shape
+        assert g_maps.shape == (2, 4, 4)
+        assert np.all(g_maps == 0.0) == (beta == 0.0)
 
     def test_bit_identical_evaluations(self):
         hp, params, trace = make_setup(seed=17)
@@ -214,8 +220,8 @@ class TestUserGradients:
     def test_non_finite_raises_with_name(self):
         hp, params, trace = make_setup(seed=19)
         params.rating_dec_w[0, 0] = np.nan
-        trace.rating_logit = trace.rating_logit.copy()
-        trace.rating_logit[0] = np.nan
+        trace.logit = trace.logit.copy()
+        trace.logit[0] = np.nan
         with pytest.raises(FloatingPointError, match="rating_dec_w|rating_enc"), \
                 np.errstate(invalid="ignore"):
             td.user_gradients(params, hp, trace)

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import astuple
 
 import numpy as np
@@ -6,13 +7,13 @@ import pytest
 import trustdae as td
 from trustdae import synth
 from trustdae.gradcheck import random_instance
-from trustdae.model import corrupt, forward_sampled
+from trustdae.model import FlatParams, ModelParams, corrupt, forward_sampled
 from trustdae.sparse import sample_complement
-from trustdae.trainer import (_CORRUPT, _ITEM_NEG, _USER_NEG, TrainingError,
-                              _samples, _ScaledParams, _seed_states, _user_step,
+from trustdae.trainer import (_CORRUPT, _ITEM_NEG, _SHUFFLE, _USER_NEG, TrainingError,
+                              _DecayedParams, _samples, _seed_states, _user_step,
                               _user_streams, stream)
 
-from conftest import make_tiny_store
+from conftest import flat_sample, make_tiny_store
 
 
 def small_train_set(seed=0):
@@ -23,9 +24,10 @@ def small_train_set(seed=0):
     return td.materialize_split(ds, split, 0)
 
 
-def replayed_trace(params, data, hp, u, epoch):
-    """User u's forward pass at `epoch`, rebuilt row by row from the reference
-    definitions `stream`, `sample_complement` and `corrupt`."""
+def replayed_rows(data, hp, u, epoch):
+    """User u's corrupted rows and (indices, binary targets) of each view at
+    `epoch`, rebuilt from the reference definitions `stream`,
+    `sample_complement` and `corrupt`."""
     pos_r, pos_t = data.row(u, "rating"), data.row(u, "trust")
     neg_r = sample_complement(stream(hp.seed, _ITEM_NEG, epoch, u), data.m, pos_r,
                               min(len(pos_r), data.m - len(pos_r)))
@@ -38,7 +40,18 @@ def replayed_trace(params, data, hp, u, epoch):
                  np.concatenate([np.ones(len(pos_r)), np.zeros(len(neg_r))]))
     targets_t = (np.concatenate([pos_t, neg_t]),
                  np.concatenate([np.ones(len(pos_t)), np.zeros(len(neg_t))]))
-    return forward_sampled(params, hp, rating_in, trust_in, targets_r, targets_t, u)
+    return rating_in, trust_in, targets_r, targets_t
+
+
+def replayed_sample(data, hp, u, epoch):
+    """`replayed_rows` as a `Sample` against the flat store of `data` and `hp`."""
+    return flat_sample(data.n, data.m, *replayed_rows(data, hp, u, epoch),
+                       u if hp.user_embedding else None)
+
+
+def replayed_trace(params, data, hp, u, epoch):
+    """User u's forward pass at `epoch` on `params`, from `replayed_sample`."""
+    return forward_sampled(FlatParams(params), hp, replayed_sample(data, hp, u, epoch))
 
 
 class TestTrain:
@@ -167,17 +180,14 @@ class TestSampleChunks:
         users = np.random.default_rng(5).permutation(train_set.n)
         seats = [_user_streams(hp.seed, tag, 4, train_set.n)
                  for tag in (_ITEM_NEG, _USER_NEG, _CORRUPT)]
-        got = list(_samples(train_set, hp.corruption, users, seats))
+        got = list(_samples(train_set, hp.corruption, users, seats, hp.user_embedding))
         assert len(got) == train_set.n
         for u, sample in zip(users.tolist(), got):
-            a = forward_sampled(params, hp, *sample, u)
-            b = replayed_trace(params, train_set, hp, u, 4)
-            for field in ("rating_idx", "rating_y", "trust_idx", "trust_y",
-                          "rating_logit", "trust_logit"):
-                assert np.array_equal(getattr(a, field), getattr(b, field)), (u, field)
-            for view in ("rating_in", "trust_in"):
-                assert np.array_equal(getattr(a, view).indices, getattr(b, view).indices)
-                assert getattr(a, view).value == getattr(b, view).value
+            want = replayed_sample(train_set, hp, u, 4)
+            for field, a, b in zip(sample._fields, sample, want):
+                assert np.array_equal(a, b), (u, field)
+            logits = [forward_sampled(FlatParams(params), hp, s).logit for s in (sample, want)]
+            assert np.array_equal(*logits), u
 
     @pytest.mark.parametrize("budget", [1, 17])
     def test_draw_budget_leaves_training_unchanged(self, monkeypatch, budget):
@@ -274,13 +284,101 @@ class TestUserStep:
         for seed in range(5):
             params, trace = random_instance(hp, seed=seed)
             grads = td.user_gradients(params, hp, trace)
-            scaled = _ScaledParams(params, hp)
+            scaled = _DecayedParams(params, hp)
             _user_step(scaled, hp, trace)
             stepped = scaled.snapshot()
             for (name, got), (_, p), (_, g) in zip(
                     stepped.tensors(), params.tensors(), grads.tensors()):
                 np.testing.assert_allclose(got, p - hp.lr * g, rtol=1e-12,
                                            atol=0, err_msg=name)
+
+
+class TestDecayGroups:
+    def test_group_shares_renormalisation(self, monkeypatch):
+        # at this _MIN_SCALE the weights' scale (factor 1 - 0.5*0.5/n) is
+        # folded into its buffers every ~16 steps and the maps' (factor
+        # 1 - 0.5*0.3/n) every ~27, both first within epoch 0; training
+        # still follows plain SGD with dense decay,
+        # p*(1 - lr*lam/n) - lr*data_gradient = p - lr*user_gradients
+        train_set, _ = small_train_set()
+        n = train_set.n
+        hp = td.Hyperparams(latent_dim=3, epochs=2, weight_decay=0.5, map_decay=0.3, seed=4)
+        monkeypatch.setattr("trustdae.trainer._MIN_SCALE", 0.9)
+        folded = {"weights": [], "maps": []}
+        decay, steps = _DecayedParams.decay, itertools.count()
+
+        def spy(store):
+            decay(store)
+            step = next(steps)
+            for group, scale in (("weights", store.scale), ("maps", store.map_scale)):
+                if scale == 1.0:
+                    folded[group].append(step)
+
+        monkeypatch.setattr(_DecayedParams, "decay", spy)
+        got, _ = td.train(train_set, hp)
+        p = td.init_params(n, train_set.m, 3, seed=hp.seed)
+        for epoch in range(hp.epochs):
+            for u in stream(hp.seed, _SHUFFLE, epoch).permutation(n).tolist():
+                g = td.user_gradients(p, hp, replayed_trace(p, train_set, hp, u, epoch))
+                p = ModelParams(**{name: a - hp.lr * b
+                                   for (name, a), (_, b) in zip(p.tensors(), g.tensors())})
+        for (name, a), (_, b) in zip(got.tensors(), p.tensors()):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=0, err_msg=name)
+        assert folded["weights"][0] < n and folded["maps"][0] < n
+        assert folded["weights"] != folded["maps"]
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("changes", [{}, {"user_embedding": True}, {"latent_dim": 1},
+                                         {"latent_dim": 1, "user_embedding": True}])
+    def test_gathers_equal_named_reads(self, changes):
+        # every user's gathered rows and biases are the snapshot's named
+        # tensors at the reference rows and targets; at corruption 0.6 some
+        # rating rows empty, and some random-store users trust nobody
+        hp = td.Hyperparams(latent_dim=3, corruption=0.6, seed=11).replace(**changes)
+        empty = set()
+        for seed in range(3):
+            data = make_tiny_store(seed)
+            rng = np.random.default_rng(seed)
+            store = FlatParams(td.init_params(data.n, data.m, hp.latent_dim, seed,
+                                              hp.user_embedding))
+            for buf in (store.rows, store.biases, store.maps):
+                buf[...] = rng.normal(size=buf.shape)
+            store.scale, store.map_scale = rng.uniform(0.5, 2.0, size=2).tolist()
+            named = store.snapshot()
+            users = rng.permutation(data.n)
+            seats = [_user_streams(hp.seed, tag, 0, data.n)
+                     for tag in (_ITEM_NEG, _USER_NEG, _CORRUPT)]
+            samples = _samples(data, hp.corruption, users, seats, hp.user_embedding)
+            for u, sample in zip(users.tolist(), samples, strict=True):
+                rating_in, trust_in, (idx_r, _), (idx_t, _) = replayed_rows(data, hp, u, 0)
+                trace = forward_sampled(store, hp, sample)
+                rows = [named.rating_enc_w[rating_in.indices], named.trust_enc_w[trust_in.indices],
+                        named.rating_enc_b[None], named.trust_enc_b[None],
+                        named.rating_dec_w[idx_r], named.trust_dec_w[idx_t]]
+                if hp.user_embedding:
+                    rows.append(named.user_vecs[u][None])
+                assert np.array_equal(trace.rows, np.concatenate(rows)), u
+                assert np.array_equal(store.biases[sample.bpos] * store.scale,
+                                      np.concatenate([named.rating_dec_b[idx_r],
+                                                      named.trust_dec_b[idx_t]])), u
+                assert np.array_equal(trace.maps, np.stack([named.map_trust_to_rating,
+                                                            named.map_rating_to_trust]))
+                # the forward pass's codes are `encode`'s, bit for bit
+                user = u if hp.user_embedding else None
+                assert np.array_equal(trace.codes, td.encode(named, rating_in, trust_in, user))
+                empty |= {view for view, row in (("rating", rating_in), ("trust", trust_in))
+                          if len(row.indices) == 0}
+        assert empty == {"rating", "trust"}
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("user_embedding", [False, True])
+    def test_fresh_snapshot_is_init_params(self, k, user_embedding):
+        init = td.init_params(7, 9, k, seed=4, user_embedding=user_embedding)
+        snap = FlatParams(init).snapshot()
+        assert [name for name, _ in snap.tensors()] == [name for name, _ in init.tensors()]
+        for (name, a), (_, b) in zip(snap.tensors(), init.tensors()):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 class TestPerUserCost:
