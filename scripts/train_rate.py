@@ -1,14 +1,14 @@
 """In-process rate of training, alternated between checkouts.
 
     python3 scripts/train_rate.py [--tree DIR]... [--users 800] [--items 1200]
-        [--epochs 3] [--repeats 3]
+        [--communities 8] [--p-rate 0.25] [--p-trust 0.1] [--epochs 3] [--repeats 3]
 
 Each `--tree` (by default this checkout alone) has its `src/trustdae`
 imported under a name of its own, so several checkouts train in one
 process. Each builds the same input with its own code: fold 0 of
-`synth.make_block_dataset(n_users, n_items, n_communities=8,
-block_items=n_items // 8, p_rate=0.25, seed=3)`, split five ways at seed
-3; the defaults give the profile set of ROADMAP.md. Each
+`synth.make_block_dataset(n_users, n_items, n_communities,
+block_items=n_items // n_communities, p_rate, p_trust, seed=3)`, split five
+ways at seed 3; the defaults give the profile set of ROADMAP.md. Each
 repeat then times one `train` at latent dimension 10 for `--epochs` epochs
 in every tree, the trees taking turns to go first. The script prints each
 tree's min and median seconds, its median's ratio to the first tree's,
@@ -58,6 +58,9 @@ def main(argv=None) -> int:
     parser.add_argument("--tree", type=Path, action="append")
     parser.add_argument("--users", type=int, default=800)
     parser.add_argument("--items", type=int, default=1200)
+    parser.add_argument("--communities", type=int, default=8)
+    parser.add_argument("--p-rate", type=float, default=0.25)
+    parser.add_argument("--p-trust", type=float, default=0.1)
     parser.add_argument("--epochs", type=int, default=3)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
@@ -71,8 +74,9 @@ def main(argv=None) -> int:
         td = load(tree, f"_train_rate_tree{j}")
         synth = importlib.import_module(f"_train_rate_tree{j}.synth")
         ds = synth.make_block_dataset(n_users=args.users, n_items=args.items,
-                                      n_communities=8, block_items=args.items // 8,
-                                      p_rate=0.25, seed=SEED)
+                                      n_communities=args.communities,
+                                      block_items=args.items // args.communities,
+                                      p_rate=args.p_rate, p_trust=args.p_trust, seed=SEED)
         train_set, _ = td.materialize_split(ds, td.split_folds(ds, 5, seed=SEED), 0)
         hp = td.Hyperparams(latent_dim=LATENT_DIM, epochs=args.epochs)
         runs.append((td, train_set, hp, []))

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .model import FlatParams, Hyperparams, ModelParams, forward_sampled, init_params
 from .objective import user_gradients, user_loss
 from .sparse import SparseInteractions
-from .trainer import _CORRUPT, _ITEM_NEG, _USER_NEG, _samples, stream
+from .trainer import _epoch_streams, _samples
 
 # central-difference step and the pass rule of `compare`
 FD_STEP = 1e-5
@@ -120,8 +119,8 @@ def random_instance(hp: Hyperparams, seed: int):
     params = init_params(data.n, data.m, hp.latent_dim, seed=seed,
                          user_embedding=hp.user_embedding)
     u = int(rng.integers(0, data.n))
-    seats = [partial(stream, seed, tag, 0) for tag in (_ITEM_NEG, _USER_NEG, _CORRUPT)]
-    sample = next(_samples(data, hp.corruption, [u], seats, hp.user_embedding))
+    sample = next(_samples(data, hp.corruption, [u], _epoch_streams(seed, 0, data.n),
+                           hp.user_embedding))
     return params, forward_sampled(FlatParams(params), hp, sample)
 
 

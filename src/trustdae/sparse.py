@@ -5,8 +5,9 @@ iterating a user's positives is a slice and the sampler's membership test
 is a binary search.
 Negative sampling draws uniformly without replacement from the complement
 of a row, sized to match the row itself. `sample_complement` defines one
-row's sample; the store samples many rows at once, one generator call per
-row, with the same values.
+row's sample; the store samples many rows at once, with the same values:
+the first draws of all its rejection-sampled rows come from one
+`KeyedStreams.integers` call, which computes short rows' values in numpy.
 """
 
 from __future__ import annotations
@@ -148,26 +149,28 @@ class SparseInteractions:
         _, cols, _ = self._select(which)
         return len(cols)
 
-    def sample_item_negatives(self, users, seat) -> np.ndarray:
+    def sample_item_negatives(self, users, streams) -> np.ndarray:
         """`sample_complement` of each of `users`' rating rows, sized as the
         row or its complement if smaller, laid end to end in user order;
-        `seat(u)` returns u's generator at the start of its stream."""
-        return self._sample_negatives(users, seat, "rating")
+        u's generator is the stream of u in `streams`, a `KeyedStreams`."""
+        return self._sample_negatives(users, streams, "rating")
 
-    def sample_user_negatives(self, users, seat) -> np.ndarray:
+    def sample_user_negatives(self, users, streams) -> np.ndarray:
         """As `sample_item_negatives`, over the trust rows."""
-        return self._sample_negatives(users, seat, "trust")
+        return self._sample_negatives(users, streams, "trust")
 
-    def _sample_negatives(self, users, seat, which: str) -> np.ndarray:
-        """Each row makes `sample_complement`'s first generator call, so draws
-        the same values. Rows over a quarter full choose from their
-        complement, read off one (rows, domain) mask, which is at most four
-        bytes per positive. The rejection draws of all rows are filtered at once:
+    def _sample_negatives(self, users, streams, which: str) -> np.ndarray:
+        """Each row draws the values of `sample_complement`'s first generator
+        call: the rejection-sampled rows in one `streams.integers` call, the
+        others each from `streams.seat(u)`. Rows over a quarter full choose
+        from their complement, read off one (rows, domain) mask, which is at
+        most four bytes per positive. The rejection draws of all rows are
+        filtered at once:
         in one stable sort of the rows' positive keys `owner*domain + col`
         followed by the draw keys, a draw is accepted exactly when it leads
         its run of equal keys, being neither a positive nor a repeat. A row
         keeps its first `size` accepted draws; a row whose first call falls
-        short is re-seated and drawn by `sample_complement` itself."""
+        short is seated and drawn by `sample_complement` itself."""
         indptr, _, domain = self._select(which)
         users = np.asarray(users, dtype=np.int64)
         lengths = indptr[users + 1] - indptr[users]
@@ -183,14 +186,13 @@ class SparseInteractions:
             free[self.rows(users[listed], which)] = False
             for row, r in zip(free, listed.tolist()):
                 size, at = int(sizes[r]), int(starts[r])
-                out[at:at + size] = seat(int(users[r])).choice(np.flatnonzero(row), size=size,
-                                                               replace=False)
+                out[at:at + size] = streams.seat(int(users[r])).choice(
+                    np.flatnonzero(row), size=size, replace=False)
         rejected = np.flatnonzero(~enumerated & (sizes > 0))
         if not len(rejected):
             return out
         counts = draws[rejected]
-        drawn = np.concatenate([seat(u).integers(0, domain, size=d) for u, d in
-                                zip(users[rejected].tolist(), counts.tolist())])
+        drawn = streams.integers(users[rejected], counts, domain)
         owner = np.repeat(np.arange(len(rejected)), counts)
         pos_owner, pos_cols = self.rows(users[rejected], which)
         keys = np.concatenate([pos_owner * domain + pos_cols, owner * domain + drawn])
@@ -207,5 +209,6 @@ class SparseInteractions:
         short = taken[ends - 1] - before < sizes[rejected]
         for r in rejected[short].tolist():
             u, size, at = int(users[r]), int(sizes[r]), int(starts[r])
-            out[at:at + size] = sample_complement(seat(u), domain, self.row(u, which), size)
+            out[at:at + size] = sample_complement(streams.seat(u), domain, self.row(u, which),
+                                                  size)
         return out

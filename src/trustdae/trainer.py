@@ -5,16 +5,16 @@ item negatives and user negatives, all derived from the master seed.
 Runs with the same seed are therefore bit-identical, and variants that
 differ only in loss coefficients consume randomness identically.
 `stream` defines every stream. The per-user ones are not built by it:
-each epoch computes every user's SeedSequence state at once and re-seats
-one generator per purpose from it, which draws exactly as `stream` would.
+each epoch and purpose has one `KeyedStreams`, which draws exactly as
+`stream` would and computes the short rows of a chunk in one pass.
 
 An epoch's samples are built ahead of its steps, a chunk of users at a
-time in epoch order (`SAMPLE_CHUNK_DRAWS` bounds a chunk): each user's
-streams make exactly the generator calls of `sample_complement` and
-`corrupt` on its rows, and the filtering, corruption masks and targets
-around them are computed for the whole chunk at once. The per-user loop
-only slices the chunk's arrays, so the draws and every step are those of
-building each sample on its own.
+time in epoch order (`SAMPLE_CHUNK_DRAWS` bounds a chunk): the chunk's
+rows draw in one pass per purpose the values of the generator calls that
+`sample_complement` and `corrupt` make on each row, and the filtering,
+corruption masks and targets around them are computed for the whole chunk
+at once. The per-user loop only slices the chunk's arrays, so the draws
+and every step are those of building each sample on its own.
 
 l2 decay is folded into one scale factor per decay group of the flat
 store (`FlatParams`): one multiplication per user step instead of a
@@ -38,19 +38,11 @@ from .objective import MAP_TENSORS, LossBreakdown, backprop_core, decay_coef, to
 # looked up here by the benchmark's span tracer (cvbench/tracing.py)
 from .objective import correlative_term, logistic_loss  # noqa: F401
 from .sparse import SparseInteractions, negative_draws, negative_sizes
+from .streams import KeyedStreams, _spans, check_numpy, stream
 
 # purpose tags for the keyed streams; the values are part of every stream
 # key, so renumbering them changes the negatives, corruption and shuffle
 _CORRUPT, _ITEM_NEG, _USER_NEG, _SHUFFLE = 0, 1, 2, 5
-
-# numpy's SeedSequence constants (NEP 19): the pool-of-4 entropy hash and
-# mix, then generate_state's output hash
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier (O'Neill, "PCG", 2014)
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 # the users whose samples are built together make at most this many draws
 # (negatives' first draws and corruption uniforms) before their last user;
@@ -92,80 +84,6 @@ class TrainLog:
         return rows
 
 
-def stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for a (seed, tag, ...) key."""
-    return np.random.default_rng((seed,) + key)
-
-
-def _seed_states(key: tuple[int, ...], users: np.ndarray) -> np.ndarray:
-    """`SeedSequence(key + (u,)).generate_state(4, np.uint64)` for every u
-    in `users`, one row each, in uint32 arithmetic on all users at once.
-
-    As SeedSequence does, each int is read as its little-endian 32-bit
-    words (0 as one word); the first four words fill the pool, and each
-    word past the fourth is then mixed into every pool word. `key` holds
-    three ints or more, and every user is below 2**32, one word.
-    """
-    u32 = np.uint32
-    hash_a = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_a
-        value = value ^ u32(hash_a)
-        hash_a = hash_a * _MULT_A & _MASK32
-        value = value * u32(hash_a)
-        return value ^ (value >> u32(16))
-
-    def mix(x, y):
-        value = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
-        return value ^ (value >> u32(16))
-
-    users = np.asarray(users, dtype=np.uint32)
-    words = [np.full(len(users), value >> shift & _MASK32, dtype=np.uint32)
-             for value in key for shift in range(0, max(value.bit_length(), 1), 32)]
-    words.append(users)
-    pool = [hashmix(word) for word in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    out = np.empty((len(users), 8), dtype=np.uint32)
-    hash_b = _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ u32(hash_b)
-        hash_b = hash_b * _MULT_B & _MASK32
-        value = value * u32(hash_b)
-        out[:, i] = value ^ (value >> u32(16))
-    # each uint64 is a little-endian pair of words, as in generate_state
-    return out.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _user_streams(seed: int, tag: int, epoch: int, n: int):
-    """u -> a generator that draws exactly as `stream(seed, tag, epoch, u)`.
-
-    Every call returns the same generator, re-seated, so each call spends
-    the one before. The PCG64 state is what `pcg64_set_seed` makes of row
-    u of `_seed_states`: inc = 2*initseq + 1; from state 0, one LCG step,
-    add initstate, one more step.
-    """
-    states = _seed_states((seed, tag, epoch), np.arange(n))
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
-
-    def seat(u: int) -> np.random.Generator:
-        init_hi, init_lo, seq_hi, seq_lo = states[u].tolist()
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                               "state": {"state": state, "inc": inc}}
-        return rng
-
-    return seat
-
-
 class _DecayedParams(FlatParams):
     """A FlatParams whose two decay groups, the maps and every other tensor,
     decay in O(1) a step: each group's scale is multiplied by its factor
@@ -204,26 +122,20 @@ def per_user_cost(train: SparseInteractions, hp: Hyperparams) -> int:
     return total
 
 
-def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Positions starts[i] + j for j < lengths[i], laid end to end."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
-
-
-def _chunk_samples(data: SparseInteractions, q: float, users: np.ndarray, seats,
+def _chunk_samples(data: SparseInteractions, q: float, users: np.ndarray, streams,
                    user_rows: bool):
     """`_samples` of a chunk of one user or more: every user's target
     positions and binary targets (per view, positives then negatives), then
     their store rows, laid end to end, the positives among them corrupted
     at once; then one slice of each per user."""
-    items, others, noise = seats
+    items, others, noise = streams
     _, bias, dec, user0 = row_starts(data.n, data.m)
     views = []
     # trust columns move by m, to their rows of trust_enc_w and trust_dec_b
-    for which, domain, offset, sample, seat in (
+    for which, domain, offset, sample, keyed in (
             ("rating", data.m, 0, data.sample_item_negatives, items),
             ("trust", data.n, data.m, data.sample_user_negatives, others)):
-        negatives = sample(users, seat)
+        negatives = sample(users, keyed)
         owner, cols = data.rows(users, which)
         lengths = np.bincount(owner, minlength=len(users))
         views.append((cols + offset, negatives + offset, lengths,
@@ -240,8 +152,7 @@ def _chunk_samples(data: SparseInteractions, q: float, users: np.ndarray, seats,
         bpos[span], y[span] = values, target
     cols = bpos[y == 1.0]   # each user's rating row, then trust row
     in_edges = np.concatenate([[0], np.cumsum(len_r + len_t)])
-    uniforms = [noise(u).random(k) for u, k in zip(users.tolist(), (len_r + len_t).tolist()) if k]
-    kept = corrupt(np.arange(in_edges[-1]), q, np.concatenate([np.empty(0), *uniforms]))
+    kept = corrupt(np.arange(in_edges[-1]), q, noise.random(users, len_r + len_t))
     cut = np.searchsorted(kept.indices, in_edges)
     kept_r = np.searchsorted(kept.indices, in_edges[:-1] + len_r) - cut[:-1]
     kept_in = np.diff(cut)
@@ -259,17 +170,25 @@ def _chunk_samples(data: SparseInteractions, q: float, users: np.ndarray, seats,
                      y[at[i]:at[i + 1]], a, b, t, kept.value)
 
 
-def _samples(data: SparseInteractions, q: float, users, seats, user_rows: bool):
+def _epoch_streams(seed: int, epoch: int, n: int) -> list[KeyedStreams]:
+    """The item-negative, user-negative and corruption streams of `epoch`,
+    once numpy's generator is known to draw as they compute (`check_numpy`)."""
+    check_numpy()
+    return [KeyedStreams(seed, tag, epoch, n) for tag in (_ITEM_NEG, _USER_NEG, _CORRUPT)]
+
+
+def _samples(data: SparseInteractions, q: float, users, streams, user_rows: bool):
     """Each of `users`' training `Sample` in turn, laid out against the
     flat store of `data`'s n and m, with per-user rows when `user_rows`:
     the rating and trust rows corrupted at rate q as inputs, and per view
     the clean binary targets over the row's positives and fresh negatives.
 
-    `seats` = (items, others, noise): u -> u's generator at the start of its
-    item-negative, user-negative or corruption stream. Each user's streams
-    make the calls of `sample_complement` and `corrupt` on its rows, so the
-    draws are the same, but the samples are built a chunk of users at a
-    time, each chunk of about SAMPLE_CHUNK_DRAWS draws or one user.
+    `streams` = (items, others, noise), the `KeyedStreams` of an epoch's
+    item negatives, user negatives and corruption (`_epoch_streams`). Each
+    user draws the values of the calls of `sample_complement` and `corrupt`
+    on its rows from its streams, so the draws are the same, but the
+    samples are built a chunk of users at a time, each chunk of about
+    SAMPLE_CHUNK_DRAWS draws or one user.
     """
     users = np.asarray(users, dtype=np.int64)
     len_r, len_t = data.counts("rating")[users], data.counts("trust")[users]
@@ -278,7 +197,7 @@ def _samples(data: SparseInteractions, q: float, users, seats, user_rows: bool):
     chunk = (np.cumsum(draws) - draws) // SAMPLE_CHUNK_DRAWS
     for part in np.split(users, np.flatnonzero(np.diff(chunk)) + 1):
         if len(part):
-            yield from _chunk_samples(data, q, part, seats, user_rows)
+            yield from _chunk_samples(data, q, part, streams, user_rows)
 
 
 def _user_step(store: _DecayedParams, hp: Hyperparams,
@@ -321,9 +240,8 @@ def train(train_data: SparseInteractions, hp: Hyperparams,
         tic = time.perf_counter()
         sums = [0.0, 0.0, 0.0]
         order = stream(hp.seed, _SHUFFLE, epoch).permutation(n)
-        seats = [_user_streams(hp.seed, tag, epoch, n)
-                 for tag in (_ITEM_NEG, _USER_NEG, _CORRUPT)]
-        samples = _samples(train_data, hp.corruption, order, seats, hp.user_embedding)
+        samples = _samples(train_data, hp.corruption, order, _epoch_streams(hp.seed, epoch, n),
+                           hp.user_embedding)
         for u, sample in zip(order.tolist(), samples, strict=True):
             terms = _user_step(store, hp, forward_sampled(store, hp, sample))
             if not np.isfinite(sum(terms)):

@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,7 @@ from hypothesis import strategies as st
 
 from trustdae import sparse
 from trustdae.sparse import SparseInteractions, sample_complement
-from trustdae.trainer import _user_streams, stream
+from trustdae.streams import KeyedStreams, stream
 
 from conftest import make_tiny_store
 
@@ -72,9 +70,8 @@ class TestRows:
 class TestNegativeSampling:
     def test_sizes_and_disjointness(self):
         s = store_with(4, 1000, [(0, i) for i in range(4)], [(0, 1), (0, 2)])
-        rng = np.random.default_rng(0)
-        items = s.sample_item_negatives([0], lambda u: rng)
-        users = s.sample_user_negatives([0], lambda u: rng)
+        items = s.sample_item_negatives([0], KeyedStreams(0, 1, 0, s.n))
+        users = s.sample_user_negatives([0], KeyedStreams(0, 2, 0, s.n))
         assert len(items) == 4 and len(users) == 2
         assert not set(items.tolist()) & {0, 1, 2, 3}
         assert not set(users.tolist()) & {1, 2}
@@ -82,33 +79,31 @@ class TestNegativeSampling:
 
     def test_empty_positive_set(self):
         s = store_with(3, 5, [(0, 1)])
-        rng = np.random.default_rng(1)
-        items = s.sample_item_negatives([2], lambda u: rng)
-        users = s.sample_user_negatives([2], lambda u: rng)
+        items = s.sample_item_negatives([2], KeyedStreams(1, 1, 0, s.n))
+        users = s.sample_user_negatives([2], KeyedStreams(1, 2, 0, s.n))
         assert len(items) == 0 and len(users) == 0
 
     def test_complement_exhaustion(self):
         # more positives than free slots: the whole complement is returned
         s = store_with(1, 6, [(0, i) for i in range(4)])
-        neg = s.sample_item_negatives([0], lambda u: np.random.default_rng(2))
+        neg = s.sample_item_negatives([0], KeyedStreams(2, 1, 0, s.n))
         assert sorted(neg.tolist()) == [4, 5]
 
     def test_same_seed_same_samples(self):
         s = make_tiny_store(seed=5)
-        rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
-        a = (s.sample_item_negatives([1], lambda u: rng_a),
-             s.sample_user_negatives([1], lambda u: rng_a))
-        b = (s.sample_item_negatives([1], lambda u: rng_b),
-             s.sample_user_negatives([1], lambda u: rng_b))
+        a, b = ((s.sample_item_negatives([1], KeyedStreams(42, 1, 0, s.n)),
+                 s.sample_user_negatives([1], KeyedStreams(42, 2, 0, s.n))) for _ in range(2))
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
     def test_fresh_sample_per_call(self):
+        # a keyed stream is fresh by its key, not by the call: each epoch's
+        # key gives a different sample
         s = store_with(1, 500, [(0, i) for i in range(8)])
-        rng = np.random.default_rng(3)
-        a = s.sample_item_negatives([0], lambda u: rng)
-        b = s.sample_item_negatives([0], lambda u: rng)
+        a = s.sample_item_negatives([0], KeyedStreams(3, 1, 0, s.n))
+        b = s.sample_item_negatives([0], KeyedStreams(3, 1, 1, s.n))
         assert not np.array_equal(a, b)
+        assert np.array_equal(a, s.sample_item_negatives([0], KeyedStreams(3, 1, 0, s.n)))
 
     def test_rejection_regime_uniform(self):
         # occupancy 4/20 uses rejection sampling; 1e5 calls, 3 sigma band
@@ -151,9 +146,9 @@ def per_user_reference(store, users, seed, tag, epoch, which):
     return np.concatenate(parts)
 
 
-def batched(store, users, seat, which):
+def batched(store, users, streams, which):
     sample = store.sample_item_negatives if which == "rating" else store.sample_user_negatives
-    return sample(users, seat)
+    return sample(users, streams)
 
 
 @st.composite
@@ -192,15 +187,14 @@ class TestBatchedSampling:
         epoch = data.draw(st.integers(0, 2**33))
         for which, tag in (("rating", 1), ("trust", 2)):
             want = per_user_reference(store, users, seed, tag, epoch, which)
-            for seat in (partial(stream, seed, tag, epoch),
-                         _user_streams(seed, tag, epoch, store.n)):
-                assert np.array_equal(batched(store, users, seat, which), want)
+            got = batched(store, users, KeyedStreams(seed, tag, epoch, store.n), which)
+            assert np.array_equal(got, want)
 
     def test_domain_of_one(self):
         store = store_with(1, 1, [(0, 0)])
-        seat = partial(stream, 0, 1, 0)
+        streams = KeyedStreams(0, 1, 0, store.n)
         for which in ("rating", "trust"):
-            assert len(batched(store, [0, 0], seat, which)) == 0
+            assert len(batched(store, [0, 0], streams, which)) == 0
 
     def test_short_first_draws_finish_by_reference(self, monkeypatch):
         # rows a quarter full sample by rejection; 20 draws over 40 values
@@ -219,10 +213,8 @@ class TestBatchedSampling:
             return sample_complement(*args)
 
         monkeypatch.setattr(sparse, "sample_complement", counted)
-        for seat in (partial(stream, 9, 1, 3), _user_streams(9, 1, 3, n)):
-            calls.clear()
-            assert np.array_equal(batched(store, users, seat, "rating"), want)
-            assert 0 < len(calls) < n
+        assert np.array_equal(batched(store, users, KeyedStreams(9, 1, 3, n), "rating"), want)
+        assert 0 < len(calls) < n
 
 
 class TestSampleComplementBounds:

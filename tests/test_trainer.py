@@ -9,9 +9,10 @@ from trustdae import synth
 from trustdae.gradcheck import random_instance
 from trustdae.model import FlatParams, ModelParams, corrupt, forward_sampled
 from trustdae.sparse import sample_complement
+from trustdae import streams as keyed_streams
+from trustdae.streams import SHORT_OUTPUTS, KeyedStreams, _seed_states, stream
 from trustdae.trainer import (_CORRUPT, _ITEM_NEG, _SHUFFLE, _USER_NEG, TrainingError,
-                              _DecayedParams, _samples, _seed_states, _user_step,
-                              _user_streams, stream)
+                              _DecayedParams, _epoch_streams, _samples, _user_step)
 
 from conftest import flat_sample, make_tiny_store
 
@@ -178,9 +179,8 @@ class TestSampleChunks:
         hp = td.Hyperparams(latent_dim=3, corruption=0.3, seed=2**40 + 3)
         params = td.init_params(train_set.n, train_set.m, 3, seed=0)
         users = np.random.default_rng(5).permutation(train_set.n)
-        seats = [_user_streams(hp.seed, tag, 4, train_set.n)
-                 for tag in (_ITEM_NEG, _USER_NEG, _CORRUPT)]
-        got = list(_samples(train_set, hp.corruption, users, seats, hp.user_embedding))
+        got = list(_samples(train_set, hp.corruption, users, _epoch_streams(hp.seed, 4, train_set.n),
+                            hp.user_embedding))
         assert len(got) == train_set.n
         for u, sample in zip(users.tolist(), got):
             want = replayed_sample(train_set, hp, u, 4)
@@ -243,6 +243,10 @@ def _draws(rng):
             rng.permutation(25), rng.integers(0, 7, size=1)]
 
 
+# seeds of one, two and three 32-bit words
+STREAM_SEEDS = [0, 2**32 - 1, 2**32, 2**40, 7, 2_894_012_311, 2**64 + 9]
+
+
 class TestUserStreams:
     # training re-implements numpy's SeedSequence and PCG64 seeding; a numpy
     # that seeds differently fails here rather than changing every draw
@@ -260,16 +264,76 @@ class TestUserStreams:
                 want = np.random.SeedSequence(key + (u,)).generate_state(4, np.uint64)
                 assert np.array_equal(row, want), (key, u)
 
-    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40, 7, 2_894_012_311])
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_reseated_generator_draws_as_stream(self, seed):
         # one generator serves every user in turn, whatever the seed's word count
         n = 70_001
         for tag, epoch in [(_ITEM_NEG, 0), (_CORRUPT, 49), (_USER_NEG, 2**31 + 5)]:
-            seat = _user_streams(seed, tag, epoch, n)
+            seat = KeyedStreams(seed, tag, epoch, n).seat
             for u in [0, n - 1, 1, 12_345, 0]:
                 got, want = _draws(seat(u)), _draws(stream(seed, tag, epoch, u))
                 for a, b in zip(got, want):
                     assert np.array_equal(a, b), (seed, tag, epoch, u)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_keyed_draws_equal_stream(self, seed, monkeypatch):
+        # rows on both sides of SHORT_OUTPUTS, odd and even, in shuffled
+        # order; integers take two values an output, and at 2**31 + 1 about
+        # half their candidates are rejected, which sends the row to its
+        # seated generator, as a domain of 2**32 sends every row
+        key = (seed, _ITEM_NEG, 2**33 + 1)
+        ids = [0, 1, 2**32 - 1]
+        streams = KeyedStreams(*key, 0)
+        # user i of `streams` is ids[i], without the rows of all users below
+        streams._keys = keyed_streams._seated(key, np.array(ids))
+        seated = []
+        seat = streams.seat
+        monkeypatch.setattr(streams, "seat", lambda i: seated.append(i) or seat(i))
+        rows = np.random.default_rng(seed % 2**32).permutation(
+            [(i, k) for i in range(len(ids)) for k in range(4 * SHORT_OUTPUTS + 4)])
+        users, counts = rows.T
+
+        def want(call):
+            return np.concatenate([call(stream(*key, ids[i]), k)
+                                   for i, k in zip(users.tolist(), counts.tolist())])
+
+        long = np.count_nonzero(counts > SHORT_OUTPUTS)
+        for draw, call in ((streams.raw, lambda rng, k: rng.bit_generator.random_raw(k)),
+                           (streams.random, np.random.Generator.random)):
+            seated.clear()
+            assert np.array_equal(draw(users, counts), want(call))
+            assert len(seated) == long
+        long = np.count_nonzero(counts > 2 * SHORT_OUTPUTS)
+        for domain in (1, 2, 3, 160, 1200, 2**32 - 1, 2**31 + 1, 2**32):
+            seated.clear()
+            got = streams.integers(users, counts, domain)
+            assert np.array_equal(got, want(lambda rng, k: rng.integers(0, domain, size=k)))
+            if domain == 2**31 + 1:
+                assert long < len(seated) < len(rows)
+            else:
+                assert len(seated) == (len(rows) if domain == 2**32 else long)
+
+    @pytest.mark.parametrize("corrupted", ["multiplier", "jump_table"])
+    def test_numpy_check_fails_on_other_draws(self, monkeypatch, corrupted):
+        check = keyed_streams.check_numpy.__wrapped__   # past the cached pass
+        check()
+        if corrupted == "multiplier":
+            monkeypatch.setattr(keyed_streams, "_PCG64_MULT", keyed_streams._PCG64_MULT ^ 4)
+            table = keyed_streams._jump_table()
+        else:
+            table = keyed_streams._JUMP.copy()
+            table[3, -1] ^= 1   # low word of the last jump's C
+        monkeypatch.setattr(keyed_streams, "_JUMP", table)
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            check()
+
+    def test_epoch_streams_run_the_numpy_check(self, monkeypatch):
+        def other_numpy():
+            raise RuntimeError("other draws")
+
+        monkeypatch.setattr("trustdae.trainer.check_numpy", other_numpy)
+        with pytest.raises(RuntimeError, match="other draws"):
+            _epoch_streams(0, 0, 4)
 
 
 class TestUserStep:
@@ -347,9 +411,8 @@ class TestFlatLayout:
             store.scale, store.map_scale = rng.uniform(0.5, 2.0, size=2).tolist()
             named = store.snapshot()
             users = rng.permutation(data.n)
-            seats = [_user_streams(hp.seed, tag, 0, data.n)
-                     for tag in (_ITEM_NEG, _USER_NEG, _CORRUPT)]
-            samples = _samples(data, hp.corruption, users, seats, hp.user_embedding)
+            samples = _samples(data, hp.corruption, users, _epoch_streams(hp.seed, 0, data.n),
+                               hp.user_embedding)
             for u, sample in zip(users.tolist(), samples, strict=True):
                 rating_in, trust_in, (idx_r, _), (idx_t, _) = replayed_rows(data, hp, u, 0)
                 trace = forward_sampled(store, hp, sample)
