@@ -197,8 +197,8 @@ def _run_fold(ds, split, fold, cfg, out_dir, header):
 def cmd_preprocess(cfg: ExperimentConfig) -> int:
     raw_ratings, raw_trusts = dataset.load_raw(cfg.ratings, cfg.trusts)
     ds = dataset.binarize_and_filter(raw_ratings, raw_trusts, cfg.min_count)
-    os.makedirs(os.path.dirname(os.path.abspath(cfg.cache)), exist_ok=True)
-    dataset.save_cache(ds, cfg.cache)
+    with _replacing(cfg.cache) as tmp:
+        dataset.save_cache(ds, tmp)
     stats = ds.stats()
     width = max(len(k) for k in stats)
     print(f"wrote {cfg.cache}")

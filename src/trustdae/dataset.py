@@ -12,6 +12,7 @@ import gzip
 import hashlib
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,18 +74,24 @@ def _open_text(path):
 def _rows(path, width: int):
     """Yield (line number, fields) for each nonblank line; fields split on whitespace or commas."""
     try:
-        with _open_text(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.replace(",", " ").split()
-                if not parts:
-                    continue
-                if len(parts) != width:
-                    raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
-                yield lineno, parts
-    except UnicodeDecodeError:
-        # text mode decodes ahead in chunks, so the line count read so far
-        # is not the bad line's number; find it again in binary
-        raise ParseError(f"{path}:{_undecodable_line(path)}: not valid UTF-8") from None
+        try:
+            with _open_text(path) as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    parts = line.replace(",", " ").split()
+                    if not parts:
+                        continue
+                    if len(parts) != width:
+                        raise ParseError(
+                            f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
+                    yield lineno, parts
+        except UnicodeDecodeError:
+            # text mode decodes ahead in chunks, so the line count read so
+            # far is not the bad line's number; find it again in binary
+            raise ParseError(f"{path}:{_undecodable_line(path)}: not valid UTF-8") from None
+    # a truncated gzip file ends early, one with damaged bytes fails to
+    # inflate, and a file that is not gzip at all has no gzip header
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ParseError(f"{path}: damaged gzip file: {exc}") from None
 
 
 def _undecodable_line(path) -> int:

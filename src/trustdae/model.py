@@ -256,18 +256,15 @@ def init_params(n: int, m: int, k: int, seed: int,
     )
 
 
-def corrupt(indices: np.ndarray, q: float, draws) -> Row:
+def corrupt(indices: np.ndarray, q: float, draws: np.ndarray) -> Row:
     """Drop each nonzero coordinate with probability q, rescale survivors.
 
-    A coordinate survives when its uniform is at least q; survivors carry
-    1/(1-q) so the corrupted row is unbiased. `draws` is a generator, from
-    which exactly len(indices) uniforms are taken even at q=0, which keeps
-    stream consumption a function of the row length alone, or those
-    uniforms, already drawn.
+    `draws` holds one uniform per coordinate, drawn even at q=0, so stream
+    consumption is a function of the row length alone. A coordinate
+    survives when its uniform is at least q; survivors carry 1/(1-q) so
+    the corrupted row is unbiased.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    if isinstance(draws, np.random.Generator):
-        draws = draws.random(len(indices))
     return Row(indices[draws >= q], 1.0 / (1.0 - q))
 
 

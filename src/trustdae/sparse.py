@@ -7,12 +7,15 @@ Negative sampling draws uniformly without replacement from the complement
 of a row, sized to match the row itself. `sample_complement` defines one
 row's sample; the store samples many rows at once, with the same values:
 the first draws of all its rejection-sampled rows come from one
-`KeyedStreams.integers` call, which computes short rows' values in numpy.
+`KeyedStreams.integers` call, which computes short rows' values in numpy,
+and every other row is drawn by `sample_complement` itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .streams import _spans
 
 # Above this row occupancy rejection sampling wastes too many draws;
 # enumerate the complement instead.
@@ -50,8 +53,8 @@ def sample_complement(rng: np.random.Generator, domain: int,
     """Uniform sample without replacement from {0..domain-1} minus positives.
 
     `positives` must be sorted. Sparse rows are handled by rejection
-    sampling with a binary-search membership test; dense rows fall back to
-    materializing the complement.
+    sampling with a binary-search membership test; rows over a quarter full
+    choose from their complement, enumerated in ascending order.
     """
     n_pos = len(positives)
     if not 0 <= size <= domain - n_pos:
@@ -60,9 +63,9 @@ def sample_complement(rng: np.random.Generator, domain: int,
     if size == 0:
         return np.empty(0, dtype=np.int64)
     if n_pos > _REJECTION_OCCUPANCY * domain:
-        complement = np.setdiff1d(np.arange(domain, dtype=np.int64),
-                                  positives, assume_unique=True)
-        return rng.choice(complement, size=size, replace=False)
+        free = np.ones(domain, dtype=bool)
+        free[positives] = False
+        return rng.choice(np.flatnonzero(free), size=size, replace=False)
     out = np.empty(size, dtype=np.int64)
     taken = 0
     seen: set[int] = set()
@@ -136,10 +139,7 @@ class SparseInteractions:
         indptr, cols, _ = self._select(which)
         starts = indptr[users]
         lengths = indptr[users + 1] - starts
-        owner = np.repeat(np.arange(len(users)), lengths)
-        # position j of the concatenation is j - offset[owner] into its row
-        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        return owner, cols[np.arange(len(owner)) + shift]
+        return np.repeat(np.arange(len(users)), lengths), cols[_spans(starts, lengths)]
 
     def counts(self, which: str = "rating") -> np.ndarray:
         indptr, _, _ = self._select(which)
@@ -160,54 +160,41 @@ class SparseInteractions:
         return self._sample_negatives(users, streams, "trust")
 
     def _sample_negatives(self, users, streams, which: str) -> np.ndarray:
-        """Each row draws the values of `sample_complement`'s first generator
-        call: the rejection-sampled rows in one `streams.integers` call, the
-        others each from `streams.seat(u)`. Rows over a quarter full choose
-        from their complement, read off one (rows, domain) mask, which is at
-        most four bytes per positive. The rejection draws of all rows are
-        filtered at once:
-        in one stable sort of the rows' positive keys `owner*domain + col`
-        followed by the draw keys, a draw is accepted exactly when it leads
-        its run of equal keys, being neither a positive nor a repeat. A row
-        keeps its first `size` accepted draws; a row whose first call falls
-        short is seated and drawn by `sample_complement` itself."""
+        """Rows at most a quarter full take the values of `sample_complement`'s
+        first generator call from one `streams.integers` call, and their draws
+        are filtered at once: in one stable sort of the rows' positive keys
+        `owner*domain + col` followed by the draw keys, a draw is accepted
+        exactly when it leads its run of equal keys, being neither a positive
+        nor a repeat. Such a row keeps its first `size` accepted draws. Every
+        other row, over a quarter full or short of accepted draws, is drawn
+        whole by `sample_complement` on `streams.seat(u)`."""
         indptr, _, domain = self._select(which)
         users = np.asarray(users, dtype=np.int64)
         lengths = indptr[users + 1] - indptr[users]
         sizes = negative_sizes(lengths, domain)
-        draws = negative_draws(lengths, domain)
         starts = np.cumsum(sizes) - sizes
         out = np.empty(int(sizes.sum()), dtype=np.int64)
         enumerated = lengths > _REJECTION_OCCUPANCY * domain
-        listed = np.flatnonzero(enumerated & (sizes > 0))
-        if len(listed):
-            # row r of `free` marks the complement of users[listed[r]]'s row
-            free = np.ones((len(listed), domain), dtype=bool)
-            free[self.rows(users[listed], which)] = False
-            for row, r in zip(free, listed.tolist()):
-                size, at = int(sizes[r]), int(starts[r])
-                out[at:at + size] = streams.seat(int(users[r])).choice(
-                    np.flatnonzero(row), size=size, replace=False)
+        unfinished = enumerated & (sizes > 0)
         rejected = np.flatnonzero(~enumerated & (sizes > 0))
-        if not len(rejected):
-            return out
-        counts = draws[rejected]
-        drawn = streams.integers(users[rejected], counts, domain)
-        owner = np.repeat(np.arange(len(rejected)), counts)
-        pos_owner, pos_cols = self.rows(users[rejected], which)
-        keys = np.concatenate([pos_owner * domain + pos_cols, owner * domain + drawn])
-        order = np.argsort(keys, kind="stable")
-        leads = np.empty(len(keys), dtype=bool)
-        leads[order] = np.concatenate([[True], np.diff(keys[order]) != 0])
-        accepted = leads[len(pos_cols):]
-        taken = np.cumsum(accepted)
-        ends = np.cumsum(counts)
-        before = np.concatenate([[0], taken[ends[:-1] - 1]])
-        rank = taken - 1 - np.repeat(before, counts)
-        keep = accepted & (rank < np.repeat(sizes[rejected], counts))
-        out[(starts[rejected][owner] + rank)[keep]] = drawn[keep]
-        short = taken[ends - 1] - before < sizes[rejected]
-        for r in rejected[short].tolist():
+        if len(rejected):
+            counts = negative_draws(lengths[rejected], domain)
+            drawn = streams.integers(users[rejected], counts, domain)
+            owner = np.repeat(np.arange(len(rejected)), counts)
+            pos_owner, pos_cols = self.rows(users[rejected], which)
+            keys = np.concatenate([pos_owner * domain + pos_cols, owner * domain + drawn])
+            order = np.argsort(keys, kind="stable")
+            leads = np.empty(len(keys), dtype=bool)
+            leads[order] = np.concatenate([[True], np.diff(keys[order]) != 0])
+            accepted = leads[len(pos_cols):]
+            taken = np.cumsum(accepted)
+            ends = np.cumsum(counts)
+            before = np.concatenate([[0], taken[ends[:-1] - 1]])
+            rank = taken - 1 - np.repeat(before, counts)
+            keep = accepted & (rank < np.repeat(sizes[rejected], counts))
+            out[(starts[rejected][owner] + rank)[keep]] = drawn[keep]
+            unfinished[rejected[taken[ends - 1] - before < sizes[rejected]]] = True
+        for r in np.flatnonzero(unfinished).tolist():
             u, size, at = int(users[r]), int(sizes[r]), int(starts[r])
             out[at:at + size] = sample_complement(streams.seat(u), domain, self.row(u, which),
                                                   size)

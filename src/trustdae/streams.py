@@ -4,8 +4,8 @@
 PCG64, seeded through SeedSequence from the key. `KeyedStreams` draws
 exactly as `stream(seed, tag, epoch, u)` for every user u of an epoch and
 purpose without building a generator per user: `seat(u)` re-seats one
-shared generator at u's stream, and `integers`, `random` and `raw` make
-the first call of many users' streams in one pass.
+shared generator at u's stream, and `integers` and `random` make the
+first call of many users' streams in one pass.
 
 In that pass a row whose call takes at most `SHORT_OUTPUTS` 64-bit outputs
 is computed in numpy. PCG64 is a 128-bit LCG with the XSL-RR output
@@ -160,8 +160,8 @@ def _seated(key: tuple[int, ...], users: np.ndarray) -> np.ndarray:
 class KeyedStreams:
     """The streams `stream(seed, tag, epoch, u)` of the users u < n.
 
-    `integers`, `random` and `raw` take rows (users[i], counts[i]) and
-    return each row's values of one call on a fresh stream of its user,
+    `integers` and `random` take rows (users[i], counts[i]) and return
+    each row's values of one call on a fresh stream of its user,
     laid end to end, so a user in two rows draws the same values twice.
     """
 
@@ -181,13 +181,6 @@ class KeyedStreams:
         self._rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                          "state": {"state": state, "inc": inc}}
         return self._rng
-
-    def raw(self, users, counts) -> np.ndarray:
-        """`bit_generator.random_raw(k)` of each (u, k) in zip(users,
-        counts), from u's stream, laid end to end."""
-        counts = np.asarray(counts, dtype=np.int64)
-        return self._draw(users, counts, counts, np.uint64, lambda x, _: (x, None),
-                          lambda rng, k: rng.bit_generator.random_raw(k))
 
     def random(self, users, counts) -> np.ndarray:
         """`random(k)` of each (u, k) in zip(users, counts), from u's
@@ -246,8 +239,9 @@ class KeyedStreams:
 
 @functools.cache
 def check_numpy() -> None:
-    """Raise RuntimeError unless the draws `KeyedStreams` computes equal
-    numpy's own for a few keys, over every count up to SHORT_OUTPUTS.
+    """Raise RuntimeError unless the raw outputs, uniforms and integers
+    `KeyedStreams` computes equal numpy's own for a few keys, over every
+    count up to SHORT_OUTPUTS.
 
     Not run at import: that would load `numpy.random` (about 2 MB) before
     the data is read, so peak memory would grow by it.
@@ -256,7 +250,7 @@ def check_numpy() -> None:
     for key in ((0, 1, 0), (2**40 + 3, 5, 2**32 + 7)):
         streams = KeyedStreams(*key, len(users))
         for draw, counts, call in (
-                (streams.raw, users, lambda rng, k: rng.bit_generator.random_raw(k)),
+                (streams._outputs, users, lambda rng, k: rng.bit_generator.random_raw(k)),
                 (streams.random, users, np.random.Generator.random),
                 (lambda users, counts: streams.integers(users, counts, 1200), 2 * users,
                  lambda rng, k: rng.integers(0, 1200, size=k))):

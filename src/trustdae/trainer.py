@@ -11,10 +11,11 @@ each epoch and purpose has one `KeyedStreams`, which draws exactly as
 An epoch's samples are built ahead of its steps, a chunk of users at a
 time in epoch order (`SAMPLE_CHUNK_DRAWS` bounds a chunk): the chunk's
 rows draw in one pass per purpose the values of the generator calls that
-`sample_complement` and `corrupt` make on each row, and the filtering,
-corruption masks and targets around them are computed for the whole chunk
-at once. The per-user loop only slices the chunk's arrays, so the draws
-and every step are those of building each sample on its own.
+`sample_complement` makes on each row and of one `random` call a user
+for `corrupt`, and the filtering, corruption masks and targets around
+them are computed for the whole chunk at once. The per-user loop only
+slices the chunk's arrays, so the draws and every step are those of
+building each sample on its own.
 
 l2 decay is folded into one scale factor per decay group of the flat
 store (`FlatParams`): one multiplication per user step instead of a
@@ -185,10 +186,10 @@ def _samples(data: SparseInteractions, q: float, users, streams, user_rows: bool
 
     `streams` = (items, others, noise), the `KeyedStreams` of an epoch's
     item negatives, user negatives and corruption (`_epoch_streams`). Each
-    user draws the values of the calls of `sample_complement` and `corrupt`
-    on its rows from its streams, so the draws are the same, but the
-    samples are built a chunk of users at a time, each chunk of about
-    SAMPLE_CHUNK_DRAWS draws or one user.
+    user draws the values of `sample_complement`'s calls on its rows and of
+    one `random` call for `corrupt` from its streams, as it would alone,
+    but the samples are built a chunk of users at a time, each chunk of
+    about SAMPLE_CHUNK_DRAWS draws or one user.
     """
     users = np.asarray(users, dtype=np.int64)
     len_r, len_t = data.counts("rating")[users], data.counts("trust")[users]

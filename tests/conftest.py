@@ -1,3 +1,5 @@
+import gzip
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,19 @@ def synth_runner(block_ds):
         return cache[key]
 
     return run
+
+
+def damaged_gzip(damage: str) -> bytes:
+    """A ratings file as gzip bytes cut in half, with a run of flipped bytes
+    in its compressed data, or as plain text."""
+    text = b"".join(b"u%d i%d 5\n" % (i, i * 7 % 13) for i in range(3000))
+    if damage == "not_gzip":
+        return text
+    blob = bytearray(gzip.compress(text, mtime=0))
+    if damage == "truncated":
+        return bytes(blob[:len(blob) // 2])
+    blob[100:108] = bytes(b ^ 0xFF for b in blob[100:108])
+    return bytes(blob)
 
 
 def make_tiny_store(seed=0):

@@ -59,7 +59,7 @@ def test_2_metric_oracle():
 
 def test_3_corruption_statistics():
     idx = np.arange(100_000)
-    row = td.corrupt(idx, 0.2, np.random.default_rng(12345))
+    row = td.corrupt(idx, 0.2, np.random.default_rng(12345).random(len(idx)))
     drop = 1.0 - len(row.indices) / len(idx)
     survivors_exact = row.value == 1.25
     mean = row.value * len(row.indices) / len(idx)

@@ -1,6 +1,7 @@
 import pytest
 
-from trustdae import cli, synth
+from conftest import damaged_gzip
+from trustdae import cli, dataset, synth
 from trustdae.cli import ConfigError, ExperimentConfig, fold_seed, load_config
 
 
@@ -96,6 +97,15 @@ class TestCommands:
         rc = cli.main(["preprocess"] + args)
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "ds.cache").exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped", "not_gzip"])
+    def test_damaged_gzip_fails_cleanly(self, tmp_path, capsys, damage):
+        ratings = tmp_path / "ratings.txt.gz"
+        ratings.write_bytes(damaged_gzip(damage))
+        (tmp_path / "trusts.txt").write_text("")
+        assert cli.main(["preprocess"] + small_synth_args(tmp_path, ratings=ratings)) == 1
+        assert f"error: {ratings}: damaged gzip file" in capsys.readouterr().err
         assert not (tmp_path / "ds.cache").exists()
 
     def test_checkpoints_written(self, tmp_path):
@@ -231,3 +241,18 @@ class TestAtomicWrites:
         monkeypatch.setattr(cli, "save_checkpoint", failing_save)
         assert cli.main(["run"] + args) == 1
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_failed_cache_write_keeps_old_cache(self, tmp_path, monkeypatch):
+        def failing_save(ds, path):
+            with open(path, "wb") as fh:
+                fh.write(b"partial")
+            raise OSError("disk full")
+
+        args = small_synth_args(tmp_path)
+        cli.main(["synth"] + args)
+        assert cli.main(["preprocess"] + args) == 0
+        old = (tmp_path / "ds.cache").read_bytes()
+        monkeypatch.setattr(dataset, "save_cache", failing_save)
+        assert cli.main(["preprocess"] + args) == 1
+        assert (tmp_path / "ds.cache").read_bytes() == old
+        assert not list(tmp_path.glob("*.tmp"))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
+from conftest import damaged_gzip
 from trustdae.dataset import (Dataset, DatasetError, ParseError,
                               binarize_and_filter, cache_sha256, load_cache,
                               load_raw, materialize_split, save_cache,
@@ -81,6 +82,14 @@ class TestLoadRaw:
         t.write_bytes(b"a b\rc d\r\ne f\r\xff g\n")
         with pytest.raises(ParseError, match=r"t\.txt:4: not valid UTF-8"):
             load_raw(r, str(t))
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped", "not_gzip"])
+    def test_damaged_gzip_names_the_file(self, tmp_path, damage):
+        r = tmp_path / "r.txt.gz"
+        r.write_bytes(damaged_gzip(damage))
+        t = write(tmp_path / "t.txt", "")
+        with pytest.raises(ParseError, match=rf"{re.escape(str(r))}: damaged gzip file"):
+            load_raw(str(r), t)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

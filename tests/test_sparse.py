@@ -134,6 +134,20 @@ class TestNegativeSampling:
         sd = np.sqrt(calls * p * (1 - p))
         assert np.all(np.abs(counts[10:] - calls * p) <= 4 * sd)
 
+    def test_dense_regime_chooses_from_sorted_complement(self):
+        # the complement is enumerated in ascending order, so `choice` on it
+        # draws as on np.setdiff1d's complement
+        rng = np.random.default_rng(11)
+        for seed in range(200):
+            domain = int(rng.integers(1, 120))
+            n_pos = int(rng.integers(domain // 4 + 1, domain + 1))
+            positives = np.sort(rng.choice(domain, n_pos, replace=False))
+            size = int(rng.integers(1, domain - n_pos + 1)) if n_pos < domain else 0
+            got = sample_complement(np.random.default_rng(seed), domain, positives, size)
+            want = np.random.default_rng(seed).choice(
+                np.setdiff1d(np.arange(domain), positives), size, replace=False)
+            assert np.array_equal(got, want), (domain, n_pos, size)
+
 
 def per_user_reference(store, users, seed, tag, epoch, which):
     """`sample_complement` of each user's row on its own `stream`, laid end to end."""
@@ -215,6 +229,36 @@ class TestBatchedSampling:
         monkeypatch.setattr(sparse, "sample_complement", counted)
         assert np.array_equal(batched(store, users, KeyedStreams(9, 1, 3, n), "rating"), want)
         assert 0 < len(calls) < n
+
+    def test_enumerated_rows_finish_by_reference(self, monkeypatch):
+        # every row is over a quarter full, some whole: each row with
+        # negatives is drawn by one `sample_complement` call, in user order
+        rng = np.random.default_rng(6)
+        n, m = 30, 40
+
+        def row(u, domain):
+            length = domain if u % 7 == 0 else int(rng.integers(domain // 4 + 1, domain))
+            return rng.choice(domain, length, replace=False)
+
+        store = store_with(n, m, [(u, int(i)) for u in range(n) for i in row(u, m)],
+                           [(u, int(v)) for u in range(n) for v in row(u, n)])
+        users = np.concatenate([rng.permutation(n), rng.integers(0, n, 10)]).tolist()
+        calls = []
+
+        def counted(generator, domain, positives, size):
+            calls.append((domain, positives.tolist(), size))
+            return sample_complement(generator, domain, positives, size)
+
+        monkeypatch.setattr(sparse, "sample_complement", counted)
+        for which, tag, domain in (("rating", 1, m), ("trust", 2, n)):
+            rows = [store.row(u, which) for u in users]
+            expected = [(domain, row.tolist(), min(len(row), domain - len(row)))
+                        for row in rows if len(row) < domain]
+            assert 0 < len(expected) < len(users)
+            calls.clear()
+            got = batched(store, users, KeyedStreams(9, tag, 3, n), which)
+            assert np.array_equal(got, per_user_reference(store, users, 9, tag, 3, which))
+            assert calls == expected
 
 
 class TestSampleComplementBounds:
