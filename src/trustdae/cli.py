@@ -54,6 +54,10 @@ class ExperimentConfig(Hyperparams):
         edges = self.list_values("bucket_edges")
         if any(hi <= lo for lo, hi in zip(edges, edges[1:])):
             raise ValueError("bucket_edges must be strictly increasing")
+        if self.folds < 2:
+            raise ValueError("folds must be >= 2")
+        if self.min_count < 1:
+            raise ValueError("min_count must be >= 1")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if self.variant not in baselines.VARIANTS:
@@ -96,8 +100,7 @@ def _coerce(name: str, kind: type, raw: str):
 
 
 def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
-    kinds = {f.name: f.type if isinstance(f.type, type) else type(f.default)
-             for f in fields(ExperimentConfig)}
+    kinds = {f.name: type(f.default) for f in fields(ExperimentConfig)}
     values: dict = {}
 
     def absorb(text: str, where: str):
@@ -216,13 +219,12 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     ds = dataset.load_cache(cfg.cache)
     header = _header(cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    report, fold_metrics = run_cross_validation(ds, cfg, out_dir=cfg.out,
-                                                header=header)
+    report, _ = run_cross_validation(ds, cfg, out_dir=cfg.out, header=header)
     _atomic_write(os.path.join(cfg.out, "metrics.csv"), header + report.csv_rows())
     fold_rows = ["metric,cutoff,fold,value"]
-    for fold, fm in enumerate(fold_metrics):
-        fold_rows.append(f"map,{cfg.top_n},{fold},{fm.map_at_n!r}")
-        fold_rows.append(f"ndcg,{cfg.top_n},{fold},{fm.ndcg_at_n!r}")
+    for fold, (map_at_n, ndcg_at_n) in enumerate(zip(report.fold_map, report.fold_ndcg)):
+        fold_rows.append(f"map,{cfg.top_n},{fold},{map_at_n!r}")
+        fold_rows.append(f"ndcg,{cfg.top_n},{fold},{ndcg_at_n!r}")
     _atomic_write(os.path.join(cfg.out, "folds.csv"), header + fold_rows)
     print(report.table())
     return 0

@@ -265,7 +265,8 @@ def save_cache(ds: Dataset, path) -> None:
 
 
 def load_cache(path) -> Dataset:
-    """Read a cache written by `save_cache`, rejecting truncated or corrupt files."""
+    """Read a cache written by `save_cache`, rejecting truncated or corrupt
+    files and bytes after the trust pairs."""
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
         if fh.read(len(_CACHE_MAGIC)) != _CACHE_MAGIC:
@@ -287,6 +288,8 @@ def load_cache(path) -> Dataset:
         item_ids = items.split("\n") if m or items else []
         ratings = np.frombuffer(read(16 * n_r, "ratings"), dtype="<i8").reshape(n_r, 2).astype(np.int64)
         trusts = np.frombuffer(read(16 * n_t, "trusts"), dtype="<i8").reshape(n_t, 2).astype(np.int64)
+        if fh.tell() != end:
+            raise DatasetError(f"{path}: {end - fh.tell()} bytes after the trust pairs")
     if len(user_ids) != n or len(item_ids) != m:
         raise DatasetError(f"{path}: truncated or corrupt cache")
     for name, pairs, bounds in (("ratings", ratings, (n, m)), ("trusts", trusts, (n, n))):

@@ -118,10 +118,6 @@ class ModelParams:
     def m(self) -> int:
         return self.rating_enc_w.shape[0]
 
-    @property
-    def k(self) -> int:
-        return self.rating_enc_w.shape[1]
-
     def tensors(self):
         """Yield (name, array) for every present tensor, in field order."""
         for f in fields(self):
@@ -268,31 +264,6 @@ def corrupt(indices: np.ndarray, q: float, draws: np.ndarray) -> Row:
     return Row(indices[draws >= q], 1.0 / (1.0 - q))
 
 
-def _codes(params: ModelParams, sum_r: np.ndarray, sum_t: np.ndarray,
-           users) -> tuple[np.ndarray, np.ndarray]:
-    """Sigmoid codes of both views from the encoders' input sums of one user
-    ((k,) sums, `users` an int) or of a block ((B, k) sums, `users` (B,)):
-    the biases and, when present, the per-user vectors are added."""
-    pre_r = sum_r + params.rating_enc_b[...]
-    pre_t = sum_t + params.trust_enc_b[...]
-    if params.user_vecs is not None:
-        if users is None:
-            raise ValueError("user index required when user_vecs are enabled")
-        user_vecs = params.user_vecs[users]
-        pre_r = pre_r + user_vecs
-        pre_t = pre_t + user_vecs
-    return sigmoid(pre_r), sigmoid(pre_t)
-
-
-def encode(params: ModelParams, rating_row: Row, trust_row: Row,
-           user: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Sigmoid codes of both views, accumulating only nonzero inputs."""
-    return _codes(params,
-                  params.rating_enc_w[rating_row.indices].sum(axis=0) * rating_row.value,
-                  params.trust_enc_w[trust_row.indices].sum(axis=0) * trust_row.value,
-                  user)
-
-
 def fuse(z_rating: np.ndarray, z_trust: np.ndarray, alpha: float) -> np.ndarray:
     """Convex combination of the two view codes."""
     if not 0.0 <= alpha <= 1.0:
@@ -330,29 +301,34 @@ def predict_scores(params: ModelParams, train: SparseInteractions, users,
     Ranking runs on these logits rather than on probabilities: sigmoid is
     monotone, and skipping it keeps apart logits whose float64
     probabilities round to one value (every logit above about 36.7 maps to 1.0).
-    The block is encoded at once: its input sums follow `encode`'s order and
-    the two share `_codes`, so every fused code is bit-identical to the
-    per-user one.
+    The block is encoded at once: each user's input sums are added in the
+    order of a per-user `w[row].sum(axis=0)` (`_block_row_sums`), then the
+    encoder bias and, when present, the user's vector, so every fused code
+    is bit-identical to the one encoded from that user's rows alone.
     """
     users = np.asarray(users, dtype=np.int64)
-    codes = _codes(params, _block_row_sums(params.rating_enc_w, train, users, "rating"),
-                   _block_row_sums(params.trust_enc_w, train, users, "trust"), users)
-    scores = fuse(*codes, alpha) @ params.rating_dec_w.T
+    pre_r = _block_row_sums(params.rating_enc_w, train, users, "rating") + params.rating_enc_b
+    pre_t = _block_row_sums(params.trust_enc_w, train, users, "trust") + params.trust_enc_b
+    if params.user_vecs is not None:
+        user_vecs = params.user_vecs[users]
+        pre_r = pre_r + user_vecs
+        pre_t = pre_t + user_vecs
+    scores = fuse(sigmoid(pre_r), sigmoid(pre_t), alpha) @ params.rating_dec_w.T
     scores += params.rating_dec_b
     return scores
 
 
 def _block_row_sums(w: np.ndarray, train: SparseInteractions, users: np.ndarray,
                     which: str) -> np.ndarray:
-    """Row r is the sum of w's rows at the columns of users[r]'s row, summed
-    in the order of `encode`, so the block's codes are bit-identical to it.
+    """Row r is the sum of w's rows at the columns of users[r]'s row,
+    bit-identical to `w[row].sum(axis=0)` over that row alone.
 
     `np.add.at` adds in index order, which is the order of
     `w[row].sum(axis=0)` over a gather of two or more columns; it runs on
     the flattened block, where it is several times faster than on (B, k)
     rows, and gathers at most ENCODE_CHUNK_ROWS rows of w at a time. A
-    one-column gather is summed pairwise by numpy, so it keeps encode's
-    per-row sum.
+    one-column gather is summed pairwise by numpy, so it keeps the per-row
+    sum.
     """
     owner, cols = train.rows(users, which)
     k = w.shape[1]

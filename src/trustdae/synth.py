@@ -19,6 +19,13 @@ def make_block_raw(n_users: int = 200, n_items: int = 300, n_communities: int = 
                    p_trust: float = 0.1, seed: int = 0
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Raw records with planted block structure, as `load_raw` returns them."""
+    for name, count in (("n_users", n_users), ("n_items", n_items),
+                        ("n_communities", n_communities), ("block_items", block_items)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, not {count}")
+    for name, p in (("p_rate", p_rate), ("p_trust", p_trust)):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], not {p}")
     if n_communities * block_items > n_items:
         raise ValueError("item blocks exceed the item count")
     if n_users % n_communities != 0:

@@ -107,22 +107,6 @@ class _DecayedParams(FlatParams):
             self.map_scale = 1.0
 
 
-def per_user_cost(train: SparseInteractions, hp: Hyperparams) -> int:
-    """Multiply-accumulate budget of one epoch: sampled coordinates times k.
-
-    The implementation must stay within a constant factor of this count;
-    it is what makes the per-epoch cost independent of the full n*m grid.
-    """
-    total = 0
-    r_counts = train.counts("rating")
-    t_counts = train.counts("trust")
-    for o_r, o_t in zip(r_counts.tolist(), t_counts.tolist()):
-        s_r = min(o_r, train.m - o_r)
-        s_t = min(o_t, train.n - o_t)
-        total += (o_r + s_r + o_t + s_t) * hp.latent_dim
-    return total
-
-
 def _chunk_samples(data: SparseInteractions, q: float, users: np.ndarray, streams,
                    user_rows: bool):
     """`_samples` of a chunk of one user or more: every user's target

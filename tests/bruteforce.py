@@ -1,10 +1,11 @@
-"""Independent brute-force transcriptions of the ranking formulas and the
-preprocessing rules.
+"""Independent brute-force transcriptions of the ranking formulas, the
+preprocessing rules and the encoder.
 
 Everything here is written without incremental bookkeeping: precision is
 recounted from scratch at each cutoff, rankings are built with plain
-sorts, and preprocessing walks the records one at a time with dicts and
-sets. Used as the oracle the package code must agree with exactly.
+sorts, preprocessing walks the records one at a time with dicts and
+sets, and the encoder encodes one user at a time. Used as the oracle the
+package code must agree with exactly.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from trustdae.dataset import DatasetError
+from trustdae.model import sigmoid
 
 
 def precision_at_k(ranked, test_set, k):
@@ -113,3 +115,17 @@ def split_folds(pairs, user_ids, n_folds, seed):
         for j, slot in enumerate(perm):
             folds[positions[slot]] = j % n_folds
     return folds
+
+
+def encode(params, rating_row, trust_row, user):
+    """Sigmoid codes of both views of one user, from the nonzero inputs only:
+    each view's encoder rows at the row's indices, summed and scaled by the
+    row's value, plus the view's bias and, when present, the user's vector."""
+    pre_r = params.rating_enc_w[rating_row.indices].sum(axis=0) * rating_row.value
+    pre_t = params.trust_enc_w[trust_row.indices].sum(axis=0) * trust_row.value
+    pre_r = pre_r + params.rating_enc_b
+    pre_t = pre_t + params.trust_enc_b
+    if params.user_vecs is not None:
+        pre_r = pre_r + params.user_vecs[user]
+        pre_t = pre_t + params.user_vecs[user]
+    return sigmoid(pre_r), sigmoid(pre_t)

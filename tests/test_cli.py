@@ -31,6 +31,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(None, ["alpha=2.0"])
 
+    @pytest.mark.parametrize("setting,message", [
+        ("folds=1", "folds must be >= 2"), ("min_count=0", "min_count must be >= 1")])
+    def test_invalid_experiment_settings_fail_on_load(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            load_config(None, [setting])
+
     def test_resolved_lines_sorted(self):
         lines = ExperimentConfig().resolved_lines()
         keys = [ln.split("=")[0] for ln in lines]
@@ -135,7 +141,7 @@ class TestCommands:
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("setting", [
         "bucket_edges=5,20,x", "bucket_edges=20,5", "alpha_grid=0.5,a", "beta_grid=b",
-        "k_grid=4.5", "checkpoint_every=-2", "variant=bogus"])
+        "k_grid=4.5", "checkpoint_every=-2", "variant=bogus", "folds=1", "min_count=0"])
     def test_bad_setting_fails_before_any_fold_trains(self, tmp_path, capsys, monkeypatch,
                                                        command, setting):
         args = small_synth_args(tmp_path, epochs="1")
@@ -154,6 +160,17 @@ class TestCommands:
         assert setting.split("=")[0] in capsys.readouterr().err
         assert trained == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("setting,name", [
+        ("synth_communities=0", "n_communities"), ("synth_users=-8", "n_users"),
+        ("synth_items=0", "n_items"), ("synth_block_items=0", "block_items"),
+        ("synth_p_rate=7", "p_rate"), ("synth_p_trust=-0.5", "p_trust")])
+    def test_bad_synth_setting_fails_cleanly(self, tmp_path, capsys, setting, name):
+        args = small_synth_args(tmp_path)
+        assert cli.main(["synth"] + args + [f"--set={setting}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert not (tmp_path / "ratings.txt").exists()
 
     def test_gradcheck(self, capsys):
         assert cli.main(["gradcheck", "--set=seed=0"]) == 0

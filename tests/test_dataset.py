@@ -353,6 +353,14 @@ class TestCache:
         with pytest.raises(DatasetError, match="truncated"):
             load_cache(path)
 
+    def test_bytes_after_trust_pairs(self, block_ds, tmp_path):
+        path = tmp_path / "ds.cache"
+        save_cache(block_ds, path)
+        with open(path, "ab") as fh:
+            fh.write(b"garbage")
+        with pytest.raises(DatasetError, match=r"ds\.cache: 7 bytes after the trust pairs"):
+            load_cache(path)
+
     def test_ids_not_utf8(self, tmp_path):
         ds = Dataset(n=1, m=1, ratings=np.array([[0, 0]], dtype=np.int64),
                      trusts=np.empty((0, 2), dtype=np.int64),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import trustdae as td
 from trustdae.model import sigmoid
 
+import bruteforce
 from conftest import flat_sample, make_tiny_store
 
 
@@ -70,17 +71,25 @@ class TestCorrupt:
         assert abs(mean - 1.0) < 0.01
 
 
+def sampled_codes(p, rating_in, trust_in):
+    """The codes `forward_sampled` computes from these inputs (one shared
+    value), with one target a view."""
+    sample = flat_sample(p.n, p.m, rating_in, trust_in, (np.array([0]), np.array([1.0])),
+                         (np.array([0]), np.array([0.0])))
+    return td.forward_sampled(td.FlatParams(p), td.Hyperparams(), sample).codes
+
+
 class TestEncodeFuseDecode:
     def test_zero_input_gives_half(self):
         p = td.init_params(5, 7, 3, seed=0)
-        z_r, z_t = td.encode(p, td.Row(np.array([], dtype=np.int64), 1.0),
-                             td.Row(np.array([], dtype=np.int64), 1.0))
+        empty = td.Row(np.array([], dtype=np.int64), 1.0)
+        z_r, z_t = sampled_codes(p, empty, empty)
         assert np.allclose(z_r, 0.5) and np.allclose(z_t, 0.5)
 
     def test_single_nonzero_matches_definition(self):
         p = td.init_params(5, 7, 3, seed=1)
-        row = td.Row(np.array([4]), 1.25)
-        z_r, _ = td.encode(p, row, td.Row(np.array([], dtype=np.int64), 1.0))
+        z_r, _ = sampled_codes(p, td.Row(np.array([4]), 1.25),
+                               td.Row(np.array([], dtype=np.int64), 1.25))
         expect = sigmoid(1.25 * p.rating_enc_w[4] + p.rating_enc_b)
         np.testing.assert_allclose(z_r, expect, atol=1e-15)
 
@@ -95,7 +104,7 @@ class TestEncodeFuseDecode:
             dense_r[idx_r] = 1.25
             dense_t = np.zeros(n)
             dense_t[idx_t] = 1.25
-            z_r, z_t = td.encode(p, td.Row(idx_r, 1.25), td.Row(idx_t, 1.25))
+            z_r, z_t = sampled_codes(p, td.Row(idx_r, 1.25), td.Row(idx_t, 1.25))
             np.testing.assert_allclose(
                 z_r, sigmoid(p.rating_enc_w.T @ dense_r + p.rating_enc_b), atol=1e-12)
             np.testing.assert_allclose(
@@ -135,9 +144,10 @@ class TestEncodeFuseDecode:
 
 
 def per_user_logits(p, s, users, alpha):
-    """Each user's fused code from `encode` + `fuse`, decoded by one block matmul."""
-    fused = np.array([td.fuse(*td.encode(p, td.Row(s.row(u, "rating"), 1.0),
-                                         td.Row(s.row(u, "trust"), 1.0), u), alpha)
+    """Each user's fused code from `bruteforce.encode` + `fuse`, decoded by one
+    block matmul."""
+    fused = np.array([td.fuse(*bruteforce.encode(p, td.Row(s.row(u, "rating"), 1.0),
+                                                 td.Row(s.row(u, "trust"), 1.0), u), alpha)
                       for u in users])
     return fused @ p.rating_dec_w.T + p.rating_dec_b
 
@@ -160,8 +170,8 @@ class TestPredict:
         block = td.predict_scores(p, s, users, 0.8)
         assert block.shape == (len(users), s.m)
         for r, u in enumerate(users):
-            z_r, z_t = td.encode(p, td.Row(s.row(u, "rating"), 1.0),
-                                 td.Row(s.row(u, "trust"), 1.0), u)
+            z_r, z_t = bruteforce.encode(p, td.Row(s.row(u, "rating"), 1.0),
+                                         td.Row(s.row(u, "trust"), 1.0), u)
             logits = p.rating_dec_w @ td.fuse(z_r, z_t, 0.8) + p.rating_dec_b
             np.testing.assert_allclose(block[r], logits, rtol=1e-14, atol=1e-15)
 
@@ -189,7 +199,7 @@ class TestPredict:
     @pytest.mark.parametrize("k", [1, 10])
     def test_long_rows_keep_encode_summation_order(self, k):
         # rows of 9 to 340 items: a pairwise segment sum (np.add.reduceat)
-        # differs from encode's sum here in the last bits
+        # differs from a per-user sum here in the last bits
         rng = np.random.default_rng(k)
         n, m = 12, 400
         lengths = [9, 17, 64, 129, 200, 340, 0, 12, 33, 90, 150, 8]

@@ -14,6 +14,7 @@ from trustdae.streams import SHORT_OUTPUTS, KeyedStreams, _seed_states, stream
 from trustdae.trainer import (_CORRUPT, _ITEM_NEG, _SHUFFLE, _USER_NEG, TrainingError,
                               _DecayedParams, _epoch_streams, _samples, _user_step)
 
+import bruteforce
 from conftest import flat_sample, make_tiny_store
 
 
@@ -423,9 +424,9 @@ class TestFlatLayout:
                                                       named.trust_dec_b[idx_t]])), u
                 assert np.array_equal(trace.maps, np.stack([named.map_trust_to_rating,
                                                             named.map_rating_to_trust]))
-                # the forward pass's codes are `encode`'s, bit for bit
-                user = u if hp.user_embedding else None
-                assert np.array_equal(trace.codes, td.encode(named, rating_in, trust_in, user))
+                # the forward pass's codes are the per-user oracle's, bit for bit
+                assert np.array_equal(trace.codes,
+                                      bruteforce.encode(named, rating_in, trust_in, u))
                 empty |= {view for view, row in (("rating", rating_in), ("trust", trust_in))
                           if len(row.indices) == 0}
         assert empty == {"rating", "trust"}
@@ -438,25 +439,6 @@ class TestFlatLayout:
         assert [name for name, _ in snap.tensors()] == [name for name, _ in init.tensors()]
         for (name, a), (_, b) in zip(snap.tensors(), init.tensors()):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-
-
-class TestPerUserCost:
-    def test_empty(self):
-        s = td.SparseInteractions(4, 9, [], [])
-        assert td.per_user_cost(s, td.Hyperparams(latent_dim=8)) == 0
-
-    def test_hand_example(self):
-        # one active user: (4 + 4 + 2 + 2) * 8 = 96
-        s = td.SparseInteractions(50, 1000,
-                                  [(0, i) for i in range(4)],
-                                  [(0, 1), (0, 2)])
-        assert td.per_user_cost(s, td.Hyperparams(latent_dim=8)) == 96
-
-    def test_linear_in_k(self):
-        s = make_tiny_store(seed=4)
-        c1 = td.per_user_cost(s, td.Hyperparams(latent_dim=5))
-        c2 = td.per_user_cost(s, td.Hyperparams(latent_dim=10))
-        assert c2 == 2 * c1
 
 
 class TestTrainLog:
